@@ -1,11 +1,17 @@
 """Cut-function evaluation: the largest pattern of each family induced
 across a cut, plus the twin-class count.
 
-All evaluators are exact.  The per-family searches are branch-and-bound
-with deterministic ascending-index extension order, so the returned witness
-is reproducible.  ``generic_pattern_value`` is the independent oracle: a
-plain exhaustive search over ordered partner selections that shares nothing
-with the optimized routes (no complement tricks, no incumbent pruning).
+One engine serves all six families.  A cut is a ``BipartiteCutGraph``: two
+side bitmasks plus each vertex's neighbour mask across the cut.  Three
+branch-and-bound searches over those masks (induced matching, balanced
+biclique, chain) give MATCH, COMPLETE and CHAIN; the other three families
+are the same searches on the bipartite complement, read in reverse pattern
+order (EMPTY = COMPLETE, ANTIMATCH = MATCH, CHAINSTRICT = CHAIN of the
+complement).  Every search extends in ascending vertex order, so the
+returned witness is reproducible.  ``generic_pattern_value`` is the
+independent oracle: a plain exhaustive search over ordered partner
+selections that shares nothing with the engine (no complement tricks, no
+incumbent pruning).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import SizeLimitError
+from .errors import ParseError, SizeLimitError
 from .families import (
     FAMILY_ORDER,
     PRIMAL_FAMILIES,
@@ -22,7 +28,7 @@ from .families import (
     classify_si,
     pattern_has_edge,
 )
-from .graph import BipartiteCutGraph, Graph, cut_graph, mask_of, set_of
+from .graph import BipartiteCutGraph, Graph, _adjacency_masks, _iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,9 @@ class FamilySelector:
             try:
                 fams.add(Family(token))
             except ValueError:
-                raise ValueError(f"unknown family {token!r}")
+                raise ParseError(f"unknown family {token!r}")
+        if not fams:
+            raise ParseError(f"no family named in {text!r}")
         return FamilySelector(families=frozenset(fams))
 
     def is_primal_union(self) -> bool:
@@ -117,6 +125,7 @@ def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
     Witnesses produced through the memoizing evaluator may be oriented by
     the opposite side of the cut; every family is closed under swapping the
     sides (up to reordering the pairs), so both orientations are accepted.
+    Swapping is swapping the two side masks: the neighbour masks serve both.
     """
     if witness.value != len(witness.pairs):
         return witness.value == 0 and not witness.pairs
@@ -126,198 +135,128 @@ def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
     ys = [y for _, y in witness.pairs]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         return False
-    if set(xs) <= set(b.x_vertices) and set(ys) <= set(b.y_vertices):
-        oriented = b
-    elif set(xs) <= set(b.y_vertices) and set(ys) <= set(b.x_vertices):
-        oriented = BipartiteCutGraph(b.y_vertices, b.x_vertices,
-                                     [(y, x) for x, y in b.edges])
-    else:
+    xm, ym = mask_of(xs), mask_of(ys)
+    if not any(xm & ~side_x == 0 and ym & ~side_y == 0
+               for side_x, side_y in ((b.x_mask, b.y_mask), (b.y_mask, b.x_mask))):
         return False
-    return witness.family in classify_si(witness_graph(oriented, witness))
+    return witness.family in classify_si(witness_graph(b, witness))
 
 
-def _mim_search(x_vertices, y_vertices, adjacency) -> tuple[int, list[tuple[int, int]]]:
-    """Maximum induced matching among crossing edges given by ``adjacency``
-    (dict x -> set of y).  Branch and bound over edges in ascending order."""
-    edges = [(x, y) for x in x_vertices for y in sorted(adjacency[x])]
-    k = len(edges)
-    conflict = [0] * k
-    for a in range(k):
-        xa, ya = edges[a]
-        for c in range(a + 1, k):
-            xb, yb = edges[c]
-            if xa == xb or ya == yb or yb in adjacency[xa] or ya in adjacency[xb]:
-                conflict[a] |= 1 << c
-                conflict[c] |= 1 << a
-    best = 0
-    best_sel: list[int] = []
-    sel: list[int] = []
-
-    def extend(idx: int, banned: int):
-        nonlocal best, best_sel
-        if len(sel) > best:
-            best = len(sel)
-            best_sel = sel.copy()
-        for a in range(idx, k):
-            if banned >> a & 1:
-                continue
-            if len(sel) + (k - a) <= best:
-                return
-            sel.append(a)
-            extend(a + 1, banned | conflict[a] | (1 << a))
-            sel.pop()
-
-    extend(0, 0)
-    return best, [edges[a] for a in best_sel]
+# The three searches return the best partner pairs (x, y) in pattern order.
 
 
-def mim_value(b: BipartiteCutGraph) -> tuple[int, PatternWitness]:
-    """Largest induced matching among crossing edges."""
-    n, pairs = _mim_search(b.x_vertices, b.y_vertices, b.x_adj)
-    if n == 0:
-        return 0, EMPTY_WITNESS
-    return n, PatternWitness(Family.MATCH, n, tuple(pairs))
+def _matching(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
+    """Largest induced matching: x_i adjacent to y_j exactly when i == j.
+    A chosen pair (x, y) drops y's neighbours from the x candidates and x's
+    from the y candidates; x extends in ascending order, so every matching
+    is met once."""
+    nbr = b.nbr
+    best: tuple[tuple[int, int], ...] = ()
+    pairs: list[tuple[int, int]] = []
+
+    def extend(cand_x: int, cand_y: int):
+        nonlocal best
+        depth = len(pairs)
+        if depth > len(best):
+            best = tuple(pairs)
+        while cand_x and depth + min(cand_x.bit_count(), cand_y.bit_count()) > len(best):
+            bit = cand_x & -cand_x
+            cand_x ^= bit
+            x = bit.bit_length() - 1
+            ys = nbr[x] & cand_y
+            while ys:
+                y_bit = ys & -ys
+                ys ^= y_bit
+                y = y_bit.bit_length() - 1
+                pairs.append((x, y))
+                extend(cand_x & ~nbr[y], cand_y & ~nbr[x])
+                pairs.pop()
+
+    extend(b.x_mask, b.y_mask)
+    return best
 
 
-def antimatch_value(b: BipartiteCutGraph) -> tuple[int, PatternWitness]:
-    """Largest anti-matching pattern; equals the induced matching of the
-    bipartite complement, with partner pairs carried back unchanged."""
-    comp = b.complement()
-    n, pairs = _mim_search(comp.x_vertices, comp.y_vertices, comp.x_adj)
-    if n == 0:
-        return 0, EMPTY_WITNESS
-    return n, PatternWitness(Family.ANTIMATCH, n, tuple(pairs))
-
-
-def _biclique_search(x_vertices, y_vertices, adjacency) -> tuple[int, list[tuple[int, int]]]:
+def _biclique(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
     """Largest balanced complete pattern: max over X-subsets A of
-    min(|A|, |common neighborhood of A|), branch and bound ascending."""
-    xs = list(x_vertices)
-    all_y = set(y_vertices)
-    best = 0
-    best_pairs: list[tuple[int, int]] = []
+    min(|A|, |common neighbourhood of A|), A grown in ascending order."""
+    nbr = b.nbr
+    best: tuple[tuple[int, int], ...] = ()
     chosen: list[int] = []
 
-    def extend(idx: int, common: frozenset[int]):
-        nonlocal best, best_pairs
-        value = min(len(chosen), len(common))
-        if value > best:
-            best = value
-            ys = sorted(common)[:value]
-            best_pairs = list(zip(chosen[:value], ys))
-        if len(common) <= best:
-            return
-        for i in range(idx, len(xs)):
-            if len(chosen) + (len(xs) - i) <= best:
-                return
-            nxt = common & adjacency[xs[i]]
-            if len(nxt) <= best:
-                continue
-            chosen.append(xs[i])
-            extend(i + 1, nxt)
-            chosen.pop()
+    def extend(cand_x: int, common: int):
+        nonlocal best
+        value = min(len(chosen), common.bit_count())
+        if value > len(best):
+            ys = [bit.bit_length() - 1 for bit in _iter_bits(common)]
+            best = tuple(zip(chosen[:value], ys[:value]))
+        while (cand_x and common.bit_count() > len(best)
+               and len(chosen) + cand_x.bit_count() > len(best)):
+            bit = cand_x & -cand_x
+            cand_x ^= bit
+            x = bit.bit_length() - 1
+            nxt = common & nbr[x]
+            if nxt.bit_count() > len(best):
+                chosen.append(x)
+                extend(cand_x, nxt)
+                chosen.pop()
 
-    extend(0, frozenset(all_y))
-    return best, best_pairs
+    extend(b.x_mask, b.y_mask)
+    return best
 
 
-def complete_value(b: BipartiteCutGraph) -> tuple[int, PatternWitness]:
-    """Largest balanced biclique among crossing edges."""
-    n, pairs = _biclique_search(b.x_vertices, b.y_vertices, b.x_adj)
-    if n == 0:
-        return 0, EMPTY_WITNESS
-    return n, PatternWitness(Family.COMPLETE, n, tuple(pairs))
-
-
-def empty_value(b: BipartiteCutGraph) -> tuple[int, PatternWitness]:
-    """Largest balanced edgeless pattern; the balanced biclique of the
-    bipartite complement."""
-    comp = b.complement()
-    n, pairs = _biclique_search(comp.x_vertices, comp.y_vertices, comp.x_adj)
-    if n == 0:
-        return 0, EMPTY_WITNESS
-    return n, PatternWitness(Family.EMPTY, n, tuple(pairs))
-
-
-def _chain_search(b: BipartiteCutGraph, strict: bool) -> tuple[int, list[tuple[int, int]]]:
-    """Longest chain (strict: without the matching) built pair by pair in
-    pattern order; candidates extend in ascending vertex order and branches
-    are cut once the remaining side sizes cannot beat the incumbent."""
-    xs = b.x_vertices
-    ys = b.y_vertices
-    has = b.has_edge
-    best = 0
-    best_pairs: list[tuple[int, int]] = []
+def _chain(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
+    """Longest chain: x_i adjacent to y_j exactly when i <= j, built pair by
+    pair in pattern order.  A new x must miss every chosen y; a new y must
+    hit every chosen x (its own partner included).  The bound is depth plus
+    the smaller candidate side."""
+    nbr = b.nbr
+    best: tuple[tuple[int, int], ...] = ()
     pairs: list[tuple[int, int]] = []
-    used_x: set[int] = set()
-    used_y: set[int] = set()
 
-    def feasible(x: int, y: int) -> bool:
-        d = len(pairs)
-        if has(x, y) != (not strict):
-            return False
-        for t, (xt, yt) in enumerate(pairs):
-            # new pair is position d; earlier positions t < d
-            if has(xt, y) != pattern_has_edge(Family.CHAINSTRICT if strict else Family.CHAIN, t, d):
-                return False
-            if has(x, yt) != pattern_has_edge(Family.CHAINSTRICT if strict else Family.CHAIN, d, t):
-                return False
-        return True
-
-    def extend():
-        nonlocal best, best_pairs
-        if len(pairs) > best:
-            best = len(pairs)
-            best_pairs = pairs.copy()
-        remaining = min(len(xs) - len(used_x), len(ys) - len(used_y))
-        if len(pairs) + remaining <= best:
-            return
-        for x in xs:
-            if x in used_x:
-                continue
-            for y in ys:
-                if y in used_y or not feasible(x, y):
-                    continue
+    def extend(cand_x: int, cand_y: int):
+        nonlocal best
+        depth = len(pairs)
+        if depth > len(best):
+            best = tuple(pairs)
+        room = depth + min(cand_x.bit_count(), cand_y.bit_count())
+        xs = cand_x
+        while xs and room > len(best):
+            bit = xs & -xs
+            xs ^= bit
+            x = bit.bit_length() - 1
+            ys = nbr[x] & cand_y
+            while ys and room > len(best):
+                y_bit = ys & -ys
+                ys ^= y_bit
+                y = y_bit.bit_length() - 1
                 pairs.append((x, y))
-                used_x.add(x)
-                used_y.add(y)
-                extend()
+                extend((cand_x ^ bit) & ~nbr[y], (cand_y ^ y_bit) & nbr[x])
                 pairs.pop()
-                used_x.remove(x)
-                used_y.remove(y)
 
-    extend()
-    return best, best_pairs
+    extend(b.x_mask, b.y_mask)
+    return best
 
 
-def chain_value(b: BipartiteCutGraph) -> tuple[int, PatternWitness]:
-    """Largest chain pattern (edges a_i b_j exactly for i <= j)."""
-    n, pairs = _chain_search(b, strict=False)
-    if n == 0:
-        return 0, EMPTY_WITNESS
-    return n, PatternWitness(Family.CHAIN, n, tuple(pairs))
-
-
-def strictchain_value(b: BipartiteCutGraph) -> tuple[int, PatternWitness]:
-    """Largest strict chain pattern (edges a_i b_j exactly for i < j)."""
-    n, pairs = _chain_search(b, strict=True)
-    if n == 0:
-        return 0, EMPTY_WITNESS
-    return n, PatternWitness(Family.CHAINSTRICT, n, tuple(pairs))
-
-
-_EVALUATORS = {
-    Family.EMPTY: empty_value,
-    Family.MATCH: mim_value,
-    Family.CHAIN: chain_value,
-    Family.CHAINSTRICT: strictchain_value,
-    Family.ANTIMATCH: antimatch_value,
-    Family.COMPLETE: complete_value,
+# family -> (search, run on the bipartite complement?); a complemented
+# search's pairs are read in reverse order, which turns a chain of the
+# complement into a strict chain and leaves the other patterns as they are
+_SEARCHES = {
+    Family.EMPTY: (_biclique, True),
+    Family.MATCH: (_matching, False),
+    Family.CHAIN: (_chain, False),
+    Family.CHAINSTRICT: (_chain, True),
+    Family.ANTIMATCH: (_matching, True),
+    Family.COMPLETE: (_biclique, False),
 }
 
 
 def family_value(b: BipartiteCutGraph, family: Family) -> tuple[int, PatternWitness]:
-    return _EVALUATORS[family](b)
+    """Largest pattern of ``family`` across the cut, with its witness."""
+    search, complemented = _SEARCHES[family]
+    pairs = search(b.complement())[::-1] if complemented else search(b)
+    if not pairs:
+        return 0, EMPTY_WITNESS
+    return len(pairs), PatternWitness(family, len(pairs), pairs)
 
 
 def family_cut_value(g: Graph, side_x: Iterable[int],
@@ -326,35 +265,18 @@ def family_cut_value(g: Graph, side_x: Iterable[int],
     (X, V - X); ties broken by family declaration order."""
     if sel.ntc:
         raise ValueError("family_cut_value needs pattern families; use ntc_value")
-    b = cut_graph(g, side_x)
-    best = -1
-    best_w = EMPTY_WITNESS
-    for family in FAMILY_ORDER:
-        if family not in sel.families:
-            continue
-        n, w = family_value(b, family)
-        if n > best:
-            best, best_w = n, w
-    return max(best, 0), best_w
+    return CutEvaluator(g).value_of(side_x, sel)
+
+
+def _twin_classes(adj: list[int], side: int, rest: int) -> int:
+    """Number of classes of ``side`` under equal neighbourhood in ``rest``."""
+    return len({adj[bit.bit_length() - 1] & rest for bit in _iter_bits(side)})
 
 
 def ntc_value(g: Graph, side_x: Iterable[int]) -> int:
     """Number of classes of X under equal neighborhood outside X."""
-    xs = set(side_x)
-    seen = set()
-    for v in xs:
-        seen.add(frozenset(g.adj[v] - xs))
-    return len(seen)
-
-
-def symmetric_ntc_value(g: Graph, side_x: Iterable[int]) -> int:
-    """Orientation-free twin-class value of the cut: the larger of the two
-    sides' counts.  Every rooted orientation of a decomposition edge has
-    width at most this, so decomposition widths computed from it upper-bound
-    the rooted variant regardless of root placement."""
-    xs = frozenset(side_x)
-    ys = frozenset(range(g.n)) - xs
-    return max(ntc_value(g, xs), ntc_value(g, ys))
+    x = mask_of(side_x)
+    return _twin_classes(_adjacency_masks(g), x, ((1 << g.n) - 1) ^ x)
 
 
 def generic_pattern_value(b: BipartiteCutGraph, family: Family,
@@ -403,54 +325,43 @@ def generic_pattern_value(b: BipartiteCutGraph, family: Family,
 class CutEvaluator:
     """Memoizing cut evaluator for one graph.
 
-    Values are cached per (cut, family), so queries under different
-    selectors share the per-family work; cuts are keyed by the numerically
-    smaller side mask (the cut function is symmetric).
+    Values are cached in one dict per family keyed by cut mask, so queries
+    under different selectors share the per-family work; cuts are keyed by
+    the numerically smaller side mask (the cut function is symmetric).
     """
 
     def __init__(self, g: Graph):
-        self.graph = g
         self._full = (1 << g.n) - 1
-        self._family_cache: dict[tuple[int, Family], tuple[int, PatternWitness]] = {}
-        self._ntc_cache: dict[int, int] = {}
-        self._cut_graphs: dict[int, BipartiteCutGraph] = {}
-
-    def _canonical(self, mask: int) -> int:
-        return min(mask, self._full ^ mask)
-
-    def _cut_graph(self, mask: int) -> BipartiteCutGraph:
-        b = self._cut_graphs.get(mask)
-        if b is None:
-            b = cut_graph(self.graph, set_of(mask))
-            self._cut_graphs[mask] = b
-        return b
+        self._adj = _adjacency_masks(g)
+        self._values: dict[Family, dict[int, tuple[int, PatternWitness]]] = {
+            family: {} for family in FAMILY_ORDER}
+        self._ntc: dict[int, int] = {}
 
     def family_value_of_mask(self, mask: int, family: Family) -> tuple[int, PatternWitness]:
-        mask = self._canonical(mask)
-        hit = self._family_cache.get((mask, family))
+        mask = min(mask, self._full ^ mask)
+        values = self._values[family]
+        hit = values.get(mask)
         if hit is None:
-            hit = family_value(self._cut_graph(mask), family)
-            self._family_cache[(mask, family)] = hit
+            b = BipartiteCutGraph(mask, self._full ^ mask, self._adj)
+            hit = values[mask] = family_value(b, family)
         return hit
 
     def value_of_mask(self, mask: int, sel: FamilySelector) -> tuple[int, PatternWitness]:
-        mask = self._canonical(mask)
+        mask = min(mask, self._full ^ mask)
         if sel.ntc:
-            v = self._ntc_cache.get(mask)
+            v = self._ntc.get(mask)
             if v is None:
-                v = max(ntc_value(self.graph, set_of(mask)),
-                        ntc_value(self.graph, set_of(self._full ^ mask)))
-                self._ntc_cache[mask] = v
+                rest = self._full ^ mask
+                v = self._ntc[mask] = max(_twin_classes(self._adj, mask, rest),
+                                          _twin_classes(self._adj, rest, mask))
             return v, EMPTY_WITNESS
-        best = -1
-        best_w = EMPTY_WITNESS
+        best = (0, EMPTY_WITNESS)
         for family in FAMILY_ORDER:
-            if family not in sel.families:
-                continue
-            hit = self.family_value_of_mask(mask, family)
-            if hit[0] > best:
-                best, best_w = hit
-        return max(best, 0), best_w
+            if family in sel.families:
+                hit = self.family_value_of_mask(mask, family)
+                if hit[0] > best[0]:
+                    best = hit
+        return best
 
     def value_of(self, side_x: Iterable[int], sel: FamilySelector) -> tuple[int, PatternWitness]:
         return self.value_of_mask(mask_of(side_x), sel)

@@ -8,7 +8,7 @@ covers both the small fixed-width case and arbitrarily large vertex counts.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     LoopEdgeError,
@@ -21,10 +21,9 @@ from .errors import (
 class Graph:
     """Simple undirected graph: vertex count plus symmetric adjacency sets."""
 
-    __slots__ = ("n", "adj", "names", "_edges")
+    __slots__ = ("n", "adj", "_edges")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 names: tuple[str, ...] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -37,7 +36,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
-        self.names = names
         self._edges = tuple(sorted((u, v) for u in range(n) for v in adj[u] if u < v))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -188,46 +186,56 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
 
 
 class BipartiteCutGraph:
-    """Crossing edges of a cut: only edges with one endpoint per side remain."""
+    """Crossing edges of a cut as bitmasks: ``x_mask`` and ``y_mask`` are the
+    two sides, and ``nbr[v]`` is the mask of v's neighbours on the other
+    side.  The neighbour masks are symmetric, so swapping the two side masks
+    gives the same cut seen from Y."""
 
-    __slots__ = ("x_vertices", "y_vertices", "edges", "x_adj", "y_adj")
+    __slots__ = ("x_mask", "y_mask", "nbr")
 
-    def __init__(self, x_vertices: Iterable[int], y_vertices: Iterable[int],
-                 edges: Iterable[tuple[int, int]]):
-        self.x_vertices = tuple(sorted(x_vertices))
-        self.y_vertices = tuple(sorted(y_vertices))
-        self.edges = frozenset(edges)
-        x_adj: dict[int, set[int]] = {x: set() for x in self.x_vertices}
-        y_adj: dict[int, set[int]] = {y: set() for y in self.y_vertices}
-        for x, y in self.edges:
-            x_adj[x].add(y)
-            y_adj[y].add(x)
-        self.x_adj = {x: frozenset(s) for x, s in x_adj.items()}
-        self.y_adj = {y: frozenset(s) for y, s in y_adj.items()}
+    def __init__(self, x_mask: int, y_mask: int, adj: Sequence[int]):
+        """``adj[v]`` is a neighbour mask of v; only the part across the cut
+        is kept."""
+        nbr = [0] * len(adj)
+        for bit in _iter_bits(x_mask | y_mask):
+            v = bit.bit_length() - 1
+            nbr[v] = adj[v] & (y_mask if bit & x_mask else x_mask)
+        self.x_mask = x_mask
+        self.y_mask = y_mask
+        self.nbr = nbr
+
+    @property
+    def x_vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(set_of(self.x_mask)))
+
+    @property
+    def y_vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(set_of(self.y_mask)))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x in self.x_vertices
+                         for y in set_of(self.nbr[x]))
 
     def unordered_pairs(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(e) for e in self.edges)
 
     def has_edge(self, x: int, y: int) -> bool:
-        return y in self.x_adj[x]
+        return bool(self.nbr[x] >> y & 1)
 
     def complement(self) -> "BipartiteCutGraph":
         """Bipartite complement: crossing pairs become edges iff absent here."""
-        comp = [(x, y) for x in self.x_vertices for y in self.y_vertices
-                if y not in self.x_adj[x]]
-        return BipartiteCutGraph(self.x_vertices, self.y_vertices, comp)
+        return BipartiteCutGraph(self.x_mask, self.y_mask, [~m for m in self.nbr])
 
     def __repr__(self) -> str:
-        return (f"BipartiteCutGraph(|X|={len(self.x_vertices)}, "
-                f"|Y|={len(self.y_vertices)}, m={len(self.edges)})")
+        return (f"BipartiteCutGraph(|X|={self.x_mask.bit_count()}, "
+                f"|Y|={self.y_mask.bit_count()}, m={len(self.edges)})")
 
 
 def cut_graph(g: Graph, side_x: Iterable[int]) -> BipartiteCutGraph:
     """Bipartite graph of edges crossing the cut (X, V - X)."""
-    xs = set(side_x)
-    ys = [v for v in range(g.n) if v not in xs]
-    edges = [(u, v) for u in sorted(xs) for v in g.adj[u] if v not in xs]
-    return BipartiteCutGraph(sorted(xs), ys, edges)
+    x = mask_of(side_x)
+    return BipartiteCutGraph(x, ((1 << g.n) - 1) ^ x, _adjacency_masks(g))
 
 
 def distance_neighborhood(g: Graph, s: Iterable[int], radius: int,
@@ -264,10 +272,7 @@ def exact_treewidth(g: Graph, limit: int = 15) -> int:
         raise SizeLimitError(f"exact treewidth limited to n <= {limit}, got {n}")
     if n == 0:
         return -1
-    adj_masks = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            adj_masks[u] |= 1 << v
+    adj_masks = _adjacency_masks(g)
 
     def elim_cost(s_mask: int, v: int) -> int:
         # vertices outside s+v reachable from v via paths inside s+v
@@ -303,6 +308,12 @@ def exact_treewidth(g: Graph, limit: int = 15) -> int:
     return tw[full]
 
 
+def _adjacency_masks(g: Graph) -> list[int]:
+    """Neighbour mask of every vertex, built on demand: ``Graph`` does not
+    store it, so graphs built and dropped in bulk never pay for it."""
+    return [mask_of(g.adj[v]) for v in range(g.n)]
+
+
 def _iter_bits(mask: int):
     while mask:
         bit = mask & -mask
@@ -318,9 +329,4 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return frozenset(out)
+    return frozenset(bit.bit_length() - 1 for bit in _iter_bits(mask))

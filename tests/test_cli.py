@@ -150,14 +150,15 @@ def test_verify_lemmas_cli_quick_subset(capsys, tmp_path, monkeypatch):
 
 def test_verify_lemmas_detects_injected_fault(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    real = fbranch.cutfn.mim_value
+    search, complemented = fbranch.cutfn._SEARCHES[fbranch.cutfn.Family.MATCH]
 
-    def broken(b):
-        n, w = real(b)
-        return (n + 1 if n else n), w
+    def broken(cut):
+        pairs = search(cut)
+        return pairs + pairs[:1]  # one pair too many whenever a pair exists
 
-    # the evaluator table imports by reference; patch there
-    monkeypatch.setitem(fbranch.cutfn._EVALUATORS, fbranch.cutfn.Family.MATCH, broken)
+    # family_value dispatches through the search table; patch there
+    monkeypatch.setitem(fbranch.cutfn._SEARCHES, fbranch.cutfn.Family.MATCH,
+                        (broken, complemented))
     code, out, _ = run(capsys, "verify-lemmas", "--only", "cutfn-oracle", "--quick")
     assert code == 1
     assert "[FAIL]" in out
@@ -179,3 +180,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("2 1\n1 1\n")
     code, _, err = run(capsys, "solve", "--graph", str(bad))
     assert code == 2 and "error" in err
+
+
+def test_unknown_family_exit_code(c6, capsys):
+    for families in ("matchh", "match,bogus", ","):
+        code, _, err = run(capsys, "solve", "--graph", str(c6), "--families", families)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err

@@ -8,21 +8,16 @@ from fbranch.cutfn import (
     PRIMAL,
     CutEvaluator,
     FamilySelector,
-    antimatch_value,
-    chain_value,
-    complete_value,
-    empty_value,
+    PatternWitness,
     family_cut_value,
     family_value,
     generic_pattern_value,
-    mim_value,
     ntc_value,
-    strictchain_value,
     validate_witness,
 )
 from fbranch.errors import SizeLimitError
 from fbranch.families import FAMILY_ORDER, Family, pattern_edges
-from fbranch.graph import BipartiteCutGraph, Graph, cut_graph
+from fbranch.graph import Graph, cut_graph, set_of
 
 
 def cycle(n):
@@ -37,61 +32,61 @@ def pattern_cut(family, q):
     """The pattern itself realized as a cut graph: X = a-side 0..q-1,
     Y = b-side q..2q-1."""
     edges = [(i, q + j) for i, j in pattern_edges(family, q)]
-    return BipartiteCutGraph(range(q), range(q, 2 * q), edges)
+    return cut_graph(Graph(2 * q, edges), range(q))
 
 
 def test_mim_examples():
-    assert mim_value(BipartiteCutGraph([0], [1], []))[0] == 0
+    assert family_value(cut_graph(Graph(2), {0}), Family.MATCH)[0] == 0
     b = cut_graph(cycle(6), {0, 1, 2})
-    n, w = mim_value(b)
+    n, w = family_value(b, Family.MATCH)
     assert n == 2 and validate_witness(b, w)
     k33 = cut_graph(complete_bipartite(3, 3), {0, 1, 2})
-    assert mim_value(k33)[0] == 1
+    assert family_value(k33, Family.MATCH)[0] == 1
 
 
 def test_antimatch_examples():
-    assert antimatch_value(pattern_cut(Family.COMPLETE, 2))[0] == 0
+    assert family_value(pattern_cut(Family.COMPLETE, 2), Family.ANTIMATCH)[0] == 0
     # one non-adjacent cross pair and nothing larger
-    b = BipartiteCutGraph([0, 1], [2, 3], [(0, 2), (0, 3), (1, 2)])
-    n, w = antimatch_value(b)
+    b = cut_graph(Graph(4, [(0, 2), (0, 3), (1, 2)]), {0, 1})
+    n, w = family_value(b, Family.ANTIMATCH)
     assert n == 1 and validate_witness(b, w)
     b3 = pattern_cut(Family.ANTIMATCH, 3)
-    assert antimatch_value(b3)[0] == 3
+    assert family_value(b3, Family.ANTIMATCH)[0] == 3
 
 
 def test_chain_examples():
-    b = BipartiteCutGraph([0], [1], [(0, 1)])
-    assert chain_value(b)[0] == 1
-    assert chain_value(pattern_cut(Family.CHAIN, 3))[0] == 3
+    b = cut_graph(Graph(2, [(0, 1)]), {0})
+    assert family_value(b, Family.CHAIN)[0] == 1
+    assert family_value(pattern_cut(Family.CHAIN, 3), Family.CHAIN)[0] == 3
     # frozen via generic_pattern_value: a complete crossing lacks the
     # non-edge the 2-chain needs
     k22 = pattern_cut(Family.COMPLETE, 2)
     assert generic_pattern_value(k22, Family.CHAIN) == 1
-    assert chain_value(k22)[0] == 1
+    assert family_value(k22, Family.CHAIN)[0] == 1
 
 
 def test_strictchain_examples():
-    b = BipartiteCutGraph([0, 1], [2, 3], [])
-    assert strictchain_value(b)[0] == 1
-    assert strictchain_value(pattern_cut(Family.CHAINSTRICT, 3))[0] == 3
+    b = cut_graph(Graph(4), {0, 1})
+    assert family_value(b, Family.CHAINSTRICT)[0] == 1
+    assert family_value(pattern_cut(Family.CHAINSTRICT, 3), Family.CHAINSTRICT)[0] == 3
     for q in range(2, 5):
-        assert strictchain_value(pattern_cut(Family.CHAIN, q))[0] >= q - 1
+        assert family_value(pattern_cut(Family.CHAIN, q), Family.CHAINSTRICT)[0] >= q - 1
 
 
 def test_complete_examples():
-    assert complete_value(cut_graph(complete_bipartite(3, 3), {0, 1, 2}))[0] == 3
-    assert complete_value(BipartiteCutGraph([0], [1], [(0, 1)]))[0] == 1
+    assert family_value(cut_graph(complete_bipartite(3, 3), {0, 1, 2}), Family.COMPLETE)[0] == 3
+    assert family_value(cut_graph(Graph(2, [(0, 1)]), {0}), Family.COMPLETE)[0] == 1
     m2 = pattern_cut(Family.MATCH, 2)
     assert generic_pattern_value(m2, Family.COMPLETE) == 1
-    assert complete_value(m2)[0] == 1
+    assert family_value(m2, Family.COMPLETE)[0] == 1
 
 
 def test_empty_examples():
-    assert empty_value(BipartiteCutGraph([0, 1], [2, 3], []))[0] == 2
-    assert empty_value(pattern_cut(Family.COMPLETE, 3))[0] == 0
+    assert family_value(cut_graph(Graph(4), {0, 1}), Family.EMPTY)[0] == 2
+    assert family_value(pattern_cut(Family.COMPLETE, 3), Family.EMPTY)[0] == 0
     m2 = pattern_cut(Family.MATCH, 2)
     assert generic_pattern_value(m2, Family.EMPTY) == 1
-    assert empty_value(m2)[0] == 1
+    assert family_value(m2, Family.EMPTY)[0] == 1
 
 
 def test_each_pattern_is_its_own_witness():
@@ -148,8 +143,8 @@ def test_chain_strict_within_one():
         k = rng.randint(1, n - 1)
         xs = frozenset(rng.sample(range(n), k))
         b = cut_graph(g, xs)
-        c = chain_value(b)[0]
-        s = strictchain_value(b)[0]
+        c = family_value(b, Family.CHAIN)[0]
+        s = family_value(b, Family.CHAINSTRICT)[0]
         assert abs(c - s) <= 1
 
 
@@ -158,10 +153,14 @@ def test_duality_laws():
     for _ in range(40):
         nx, ny = rng.randint(1, 4), rng.randint(1, 4)
         edges = [(x, nx + y) for x in range(nx) for y in range(ny) if rng.random() < 0.5]
-        b = BipartiteCutGraph(range(nx), range(nx, nx + ny), edges)
+        b = cut_graph(Graph(nx + ny, edges), range(nx))
         comp = b.complement()
-        assert empty_value(b)[0] == complete_value(comp)[0]
-        assert antimatch_value(b)[0] == mim_value(comp)[0]
+        assert family_value(b, Family.EMPTY)[0] == family_value(comp, Family.COMPLETE)[0]
+        assert family_value(b, Family.ANTIMATCH)[0] == family_value(comp, Family.MATCH)[0]
+        # a chain of the complement, read in reverse, is a strict chain of b
+        n, w = family_value(comp, Family.CHAIN)
+        assert family_value(b, Family.CHAINSTRICT)[0] == n
+        assert validate_witness(b, PatternWitness(Family.CHAINSTRICT, n, w.pairs[::-1]))
 
 
 def test_ntc_examples():
@@ -187,9 +186,9 @@ def test_ntc_dominates_primal_value():
 
 def test_generic_oracle_trivial_cases():
     assert generic_pattern_value(pattern_cut(Family.CHAIN, 3), Family.CHAIN) == 3
-    assert generic_pattern_value(BipartiteCutGraph([0], [1], []), Family.MATCH) == 0
+    assert generic_pattern_value(cut_graph(Graph(2), {0}), Family.MATCH) == 0
     with pytest.raises(SizeLimitError):
-        generic_pattern_value(BipartiteCutGraph(range(20), range(20, 45), []), Family.MATCH)
+        generic_pattern_value(cut_graph(Graph(45), range(20)), Family.MATCH)
 
 
 def test_optimized_evaluators_match_oracle_small():
@@ -245,13 +244,21 @@ def test_family_cut_value_witnesses_revalidate():
 
 
 def test_evaluator_witness_validates_in_either_orientation():
-    # a cut whose canonical mask is the complement side exercises witness
-    # re-orientation: X = {0, 5} on C6 has mask 33, complement mask 30
-    g = cycle(6)
-    ev = CutEvaluator(g)
-    for sel in (PRIMAL, ALL_FAMILIES):
-        for xs in ({0, 5}, {1, 2}, {0, 2, 4}, {3, 4, 5}):
-            value, witness = ev.value_of(xs, sel)
+    # the evaluator keys a cut by its smaller side mask, so half of all masks
+    # get a witness oriented from the other side (X = {0, 5} on C6 has mask
+    # 33, complement mask 30)
+    rng = random.Random(59)
+    graphs = [cycle(6)]
+    for _ in range(3):
+        n = rng.randint(5, 7)
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.5]))
+    for g in graphs:
+        ev = CutEvaluator(g)
+        for mask in range(1 << g.n):
+            xs = set_of(mask)
             b = cut_graph(g, xs)
-            assert validate_witness(b, witness), (xs, sel.name(), witness)
-            assert witness.value == value
+            for sel in (PRIMAL, ALL_FAMILIES, *(FamilySelector.of(f) for f in FAMILY_ORDER)):
+                value, witness = ev.value_of(xs, sel)
+                assert validate_witness(b, witness), (g, xs, sel.name(), witness)
+                assert witness.value == value

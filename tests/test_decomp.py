@@ -378,21 +378,21 @@ def test_hjoin_width_inequality():
 
 
 def test_balanced_cut_corollaries_by_enumeration():
-    from fbranch.cutfn import empty_value, complete_value
+    from fbranch.cutfn import family_value
     from fbranch.graph import cut_graph as make_cut
 
     # a 3+3 bipartition inducing the edgeless pattern: two triangles; every
     # decomposition must have an edge whose cut shows a non-adjacent pair
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     for bd in enumerate_decompositions(6):
-        assert any(empty_value(make_cut(two_triangles, edge_cut(bd, e)))[0] >= 1
+        assert any(family_value(make_cut(two_triangles, edge_cut(bd, e)), Family.EMPTY)[0] >= 1
                    for e in bd.edges)
 
     # a 3+3 bipartition inducing the complete pattern: every decomposition
     # must have an edge whose cut shows a crossing edge
     k33 = complete_bipartite(3, 3)
     for bd in enumerate_decompositions(6):
-        assert any(complete_value(make_cut(k33, edge_cut(bd, e)))[0] >= 1
+        assert any(family_value(make_cut(k33, edge_cut(bd, e)), Family.COMPLETE)[0] >= 1
                    for e in bd.edges)
 
 
