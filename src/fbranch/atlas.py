@@ -58,13 +58,6 @@ def connected_graph_classes(n: int) -> tuple[Graph, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def graph_classes_upto(n: int, connected: bool = False) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(connected_graph_classes(k) if connected else all_graph_classes(k))
-    return out
-
-
 @lru_cache(maxsize=None)
 def tree_classes(n: int, max_degree: int | None = None) -> tuple[Graph, ...]:
     """All isomorphism classes of trees on n vertices, optionally bounded

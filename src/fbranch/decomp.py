@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness
-from .errors import DecompositionError, MalformedLineError, SizeLimitError
+from .errors import DecompositionError, MalformedLineError, SizeLimitError, ValidationError
 from .graph import Graph, connected_components, induced_subgraph, mask_of
 
 
@@ -36,6 +36,9 @@ class BranchDecomposition:
         self.leaf_map = dict(leaf_map)
         adjacency: dict[int, set[int]] = {v: set() for v in range(num_nodes)}
         for u, v in self.edges:
+            if u < 0 or v >= num_nodes:  # edges are stored as (min, max)
+                raise ValidationError(
+                    f"tree edge ({u}, {v}) out of range for {num_nodes} nodes")
             adjacency[u].add(v)
             adjacency[v].add(u)
         self.adjacency = adjacency
@@ -604,12 +607,16 @@ def parse_decomposition(text: str) -> BranchDecomposition:
     leaf_map = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "t" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "leaf" and len(parts) == 3:
-            leaf_map[int(parts[1])] = int(parts[2])
-        else:
+        if len(parts) != 3 or parts[0] not in ("t", "leaf"):
             raise MalformedLineError(f"bad decomposition line {ln!r}")
+        try:
+            a, b = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise MalformedLineError(f"bad decomposition line {ln!r}") from None
+        if parts[0] == "t":
+            edges.append((a, b))
+        else:
+            leaf_map[a] = b
     for u, v in edges:
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise MalformedLineError(f"tree edge ({u}, {v}) out of range")

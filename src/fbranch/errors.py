@@ -21,6 +21,10 @@ class LoopEdgeError(ParseError):
     """An edge joins a vertex to itself."""
 
 
+class ValidationError(FBranchError, ValueError):
+    """An argument or a structure lies outside its allowed range."""
+
+
 class SizeLimitError(FBranchError, RuntimeError):
     """Input exceeds the size limit of an exact algorithm."""
 

@@ -6,12 +6,20 @@ by deleting all bridges and then all isolated vertices, and while more than
 length at least eight.  Forests short-circuit: their width is 1 when any
 edge exists, 0 otherwise, so no kernelization is needed.
 
+The contraction phase is one sweep over the degree-two runs of the cleaned
+graph.  A contraction keeps the smaller endpoint and shifts every higher
+label down by one, so the order of the runs, their start vertices and walk
+directions never change, and earlier runs stay too short: shortening each
+run in turn takes exactly the steps that re-finding the first long run
+after every contraction would take.
+
 Every reduction is recorded in a trace; replaying the trace on the input
 reproduces the kernel bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
@@ -22,10 +30,6 @@ MIN_PATH_LENGTH = 8
 
 def kernel_vertex_bound(k: int) -> int:
     return 18 * k - 8
-
-
-def small_graph_bound(k: int) -> int:
-    return 8 * k - 3
 
 
 def feedback_edge_set(g: Graph) -> list[tuple[int, int]]:
@@ -81,8 +85,7 @@ class RuleOneStep:
 @dataclass(frozen=True)
 class ContractionStep:
     path: tuple[int, ...]
-    contracted_edge: tuple[int, int]
-    vertex_map: tuple[int, ...]  # new index -> old index (kept endpoint listed)
+    contracted_edge: tuple[int, int]  # the larger endpoint merges into the smaller
 
 
 @dataclass
@@ -135,27 +138,28 @@ def apply_step(g: Graph, step) -> Graph:
 
 
 def _apply_rule_one(g: Graph, step: RuleOneStep) -> Graph:
-    keep_edges = [e for e in g.edges() if e not in set(step.removed_bridges)]
+    removed_bridges = set(step.removed_bridges)
+    keep_edges = [e for e in g.edges() if e not in removed_bridges]
     removed = set(step.removed_vertices)
     index = {old: new for new, old in enumerate(step.vertex_map)}
-    assert all(v in index or v in removed for v in range(g.n))
+    if not all(v in index or v in removed for v in range(g.n)):
+        raise InternalInvariantError(
+            "rule-one step neither keeps nor removes some vertex")
     return Graph(len(step.vertex_map),
                  [(index[u], index[v]) for u, v in keep_edges])
 
 
 def _apply_contraction(g: Graph, step: ContractionStep) -> Graph:
     a, b = step.contracted_edge
-    keep = min(a, b)
-    drop = max(a, b)
-    index = {old: new for new, old in enumerate(step.vertex_map)}
-    edges = set()
-    for u, v in g.edges():
-        uu = keep if u == drop else u
-        vv = keep if v == drop else v
-        if uu == vv:
-            continue
-        edges.add((min(index[uu], index[vv]), max(index[uu], index[vv])))
-    return Graph(len(step.vertex_map), sorted(edges))
+    keep, drop = min(a, b), max(a, b)
+
+    def new(v: int) -> int:
+        if v == drop:
+            return keep
+        return v - 1 if v > drop else v
+
+    edges = ((new(u), new(v)) for u, v in g.edges())
+    return Graph(g.n - 1, [(u, v) for u, v in edges if u != v])
 
 
 def reduce_bridges_isolated(g: Graph) -> tuple[Graph, RuleOneStep]:
@@ -177,20 +181,15 @@ def reduce_bridges_isolated(g: Graph) -> tuple[Graph, RuleOneStep]:
     return out, step
 
 
-def find_unimportant_path(g: Graph, min_len: int) -> UnimportantPath | None:
-    """A degree-two path of length exactly ``min_len`` carved from a maximal
-    degree-two run, or None.
+def _degree_two_runs(g: Graph) -> list[list[int]]:
+    """Every maximal degree-two run of g as a walk.
 
-    Runs are scanned in order of their smallest vertex; within a run the
-    walk starts at its smallest endpoint (for runs that close into a cycle:
-    at the smallest vertex, toward its smaller neighbor), so the result is
+    Runs come in order of their smallest vertex; a walk starts at the
+    run's smallest endpoint (for runs that close into a cycle: at the
+    smallest vertex, toward its smaller neighbor), so the result is
     deterministic.
     """
-    if min_len < 1:
-        raise ValueError("min_len must be positive")
     deg2 = {v for v in range(g.n) if g.degree(v) == 2}
-    if not deg2:
-        return None
     seen: set[int] = set()
     runs: list[list[int]] = []
     for v in sorted(deg2):
@@ -219,12 +218,21 @@ def find_unimportant_path(g: Graph, min_len: int) -> UnimportantPath | None:
             if not nxt:
                 break
             step = nxt[0]
-            if step in walk:
+            if step == start:
                 break  # closed the cycle
             walk.append(step)
             prev, cur = cur, step
         runs.append(walk)
-    for walk in runs:
+    return runs
+
+
+def find_unimportant_path(g: Graph, min_len: int) -> UnimportantPath | None:
+    """A degree-two path of length exactly ``min_len`` carved from the
+    first maximal degree-two run (see ``_degree_two_runs``) that is long
+    enough, or None."""
+    if min_len < 1:
+        raise ValueError("min_len must be positive")
+    for walk in _degree_two_runs(g):
         if len(walk) - 1 >= min_len:
             return UnimportantPath(tuple(walk[: min_len + 1]))
     return None
@@ -238,15 +246,12 @@ def contract_path_edge(g: Graph, p: UnimportantPath
         raise ValueError(f"path too short: length {p.length} < {MIN_PATH_LENGTH}")
     p.validate(g)
     mid = p.length // 2
-    a, b = p.vertices[mid], p.vertices[mid + 1]
-    keep, drop = min(a, b), max(a, b)
-    survivors = [v for v in range(g.n) if v != drop]
-    step = ContractionStep(p.vertices, (a, b), tuple(survivors))
+    step = ContractionStep(p.vertices, (p.vertices[mid], p.vertices[mid + 1]))
     return _apply_contraction(g, step), step
 
 
 def kernelize_fes(g: Graph) -> KernelTrace:
-    """Run the kernelization loop; the result never exceeds 18k - 8 vertices
+    """Run the kernelization; the result never exceeds 18k - 8 vertices
     (k >= 1).  Forests short-circuit with their known width."""
     k = len(feedback_edge_set(g))
     trace = KernelTrace(input_graph=g, k=k)
@@ -255,22 +260,53 @@ def kernelize_fes(g: Graph) -> KernelTrace:
         trace.forest_width = 1 if g.num_edges() > 0 else 0
         trace.final_graph = g
         return trace
-    cur, step = reduce_bridges_isolated(g)
+    cleaned, step = reduce_bridges_isolated(g)
     trace.steps.append(step)
-    bound = kernel_vertex_bound(k)
-    while cur.n > bound:
-        if bridges(cur):
-            # a contraction cannot create a bridge, but the rule that needs
-            # bridgelessness re-checks cheaply and re-cleans if ever needed
-            cur, step = reduce_bridges_isolated(cur)
-            trace.steps.append(step)
+    excess = cleaned.n - kernel_vertex_bound(k)
+    if excess <= 0:
+        trace.final_graph = cleaned
+        return trace
+    # Labels below are those of the cleaned graph.  A contraction drops the
+    # larger endpoint; a vertex's label at any later moment is its cleaned
+    # label minus the number of dropped vertices below it.
+    dropped: list[int] = []
+    rep = list(range(cleaned.n))  # vertex -> the vertex it merged into
+
+    def now(v: int) -> int:
+        return v - bisect_left(dropped, v)
+
+    mid = MIN_PATH_LENGTH // 2
+    for walk in _degree_two_runs(cleaned):
+        count = min(len(walk) - MIN_PATH_LENGTH, excess)
+        if count <= 0:
             continue
-        path = find_unimportant_path(cur, MIN_PATH_LENGTH)
-        if path is None:
-            raise InternalInvariantError(
-                "no degree-two path of length 8 although the vertex bound is "
-                "exceeded; this contradicts the kernel guarantee")
-        cur, step = contract_path_edge(cur, path)
-        trace.steps.append(step)
-    trace.final_graph = cur
+        UnimportantPath(tuple(walk)).validate(cleaned)
+        # Contracting the middle edge of the run's first path again and again
+        # merges walk[mid : mid + 1 + count] into its smallest vertex; the
+        # path of the j-th contraction is walk[:mid], the vertex merged so
+        # far and walk[mid + 1 + j : MIN_PATH_LENGTH + 1 + j].
+        merged = walk[mid]
+        for j in range(count):
+            head = walk[:mid] + [merged]
+            tail = walk[mid + 1 + j: MIN_PATH_LENGTH + 1 + j]
+            nxt = tail[0]
+            trace.steps.append(ContractionStep(
+                tuple(now(v) for v in head + tail), (now(merged), now(nxt))))
+            insort(dropped, max(merged, nxt))
+            merged = min(merged, nxt)
+        for v in walk[mid: mid + 1 + count]:
+            rep[v] = merged
+        excess -= count
+        if excess == 0:
+            break
+    else:
+        raise InternalInvariantError(
+            "no degree-two path of length 8 although the vertex bound is "
+            "exceeded; this contradicts the kernel guarantee")
+    final = Graph(cleaned.n - len(dropped),
+                  [(now(rep[u]), now(rep[v])) for u, v in cleaned.edges()
+                   if rep[u] != rep[v]])
+    if bridges(final):
+        raise InternalInvariantError("contractions inside cycles created a bridge")
+    trace.final_graph = final
     return trace

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .canonical import canonical_form
-from .errors import SizeLimitError
+from .errors import SizeLimitError, ValidationError
 from .graph import Graph, induced_subgraph
 
 
@@ -192,7 +192,7 @@ def prune_duplicates(g: Graph, r: frozenset[int], threshold: int
     """Among the components of g - r, keep at most ``threshold`` per
     signature class (the ones with smallest vertices), drop the rest."""
     if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+        raise ValidationError("threshold must be >= 1")
     r = frozenset(r)
     record = PruneRecord()
     by_sig: dict[ComponentSignature, list[frozenset[int]]] = {}
@@ -276,6 +276,8 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None,
     the surrogate (or, with ``paper_bound``, the provable g bound, which on
     desk-scale inputs exceeds every multiplicity and prunes nothing).
     """
+    if threshold is not None and threshold < 1:
+        raise ValidationError("threshold must be >= 1")
     td = treedepth_decomposition(g, limit)
     alive: set[int] = set(range(g.n))
     removed: list[frozenset[int]] = []

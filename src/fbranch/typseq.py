@@ -16,6 +16,8 @@ import math
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .errors import ParseError, ValidationError
+
 BOTTOM = math.inf
 
 Entry = float  # naturals plus BOTTOM
@@ -85,9 +87,9 @@ def enumerate_typical(k: int, _hard_cap: int | None = None) -> list[Seq]:
     roughly twice the expected maximum length.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise ValidationError("k must be nonnegative")
     if k > 6:
-        raise ValueError("enumeration limited to k <= 6")
+        raise ValidationError("enumeration limited to k <= 6")
     cap = _hard_cap if _hard_cap is not None else 4 * k + 5
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -182,7 +184,7 @@ def format_sequence(s: Sequence[Entry]) -> str:
 
 def parse_sequence(text: str) -> Seq:
     parts = [p.strip() for p in text.split(",") if p.strip()]
-    out: list[Entry] = []
-    for p in parts:
-        out.append(BOTTOM if p == "_|_" else int(p))
-    return to_sequence(out)
+    try:
+        return to_sequence(BOTTOM if p == "_|_" else int(p) for p in parts)
+    except ValueError as exc:
+        raise ParseError(f"bad sequence {text!r}: {exc}") from None

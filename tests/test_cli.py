@@ -188,3 +188,35 @@ def test_unknown_family_exit_code(c6, capsys):
         assert code == 2
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def assert_one_error_line(code, err):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_typical_bad_sequence_entry_exit_code(capsys):
+    code, _, err = run(capsys, "typical", "--seq", "1,a")
+    assert_one_error_line(code, err)
+
+
+def test_typical_enumerate_over_limit_exit_code(capsys):
+    code, _, err = run(capsys, "typical", "--enumerate", "9")
+    assert_one_error_line(code, err)
+
+
+def test_width_non_integer_tree_line_exit_code(c6, tmp_path, capsys):
+    bad = tmp_path / "bad.tree"
+    bad.write_text("tree 2\nt 0 x\nleaf 0 0\nleaf 1 1\n")
+    code, _, err = run(capsys, "width", "--graph", str(c6), "--decomp", str(bad))
+    assert_one_error_line(code, err)
+
+
+def test_prune_threshold_below_one_exit_code(tmp_path, capsys):
+    p3 = tmp_path / "p3.txt"
+    p3.write_text("3 2\n0 1\n1 2\n")
+    for threshold in ("0", "-1"):
+        code, out, err = run(capsys, "prune", "--in", str(p3), "--threshold", threshold)
+        assert_one_error_line(code, err)
+        assert out == ""

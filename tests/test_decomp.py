@@ -22,7 +22,7 @@ from fbranch.decomp import (
     restrict_tree,
     validate_decomposition,
 )
-from fbranch.errors import DecompositionError, SizeLimitError
+from fbranch.errors import DecompositionError, SizeLimitError, ValidationError
 from fbranch.families import Family
 from fbranch.graph import Graph, exact_treewidth, induced_subgraph
 
@@ -73,6 +73,13 @@ def test_validate_examples():
     cyclic = BranchDecomposition(3, [(0, 1), (1, 2), (0, 2)], {0: 0, 1: 1, 2: 2})
     with pytest.raises(DecompositionError):
         validate_decomposition(cyclic, Graph(3))
+
+
+def test_tree_edge_out_of_range_rejected():
+    with pytest.raises(ValidationError):
+        BranchDecomposition(2, [(0, 5)], {})
+    with pytest.raises(ValidationError):
+        BranchDecomposition(2, [(-1, 1)], {})
 
 
 def test_caterpillars_validate():

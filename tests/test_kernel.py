@@ -5,10 +5,13 @@ import pytest
 
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
+from fbranch.errors import InternalInvariantError
 from fbranch.families import Family
 from fbranch.graph import Graph, bridges, connected_components
 from fbranch.kernel import (
+    MIN_PATH_LENGTH,
     ContractionStep,
+    KernelTrace,
     UnimportantPath,
     contract_path_edge,
     feedback_edge_set,
@@ -217,3 +220,79 @@ def test_bridgeless_with_induced_c6_has_match_width_2():
     # small bridgeless supergraphs keeping an induced six-cycle
     g7 = Graph(7, list(c6.edges()) + [(0, 6), (1, 6)])
     assert exact_branchwidth_dp(g7, MATCH)[0] >= 2
+
+
+def _stepwise_kernel(g):
+    """The kernel loop one contraction at a time: re-find the first long
+    degree-two run on the contracted graph before every step."""
+    k = len(feedback_edge_set(g))
+    cur, step = reduce_bridges_isolated(g)
+    trace = KernelTrace(input_graph=g, k=k, steps=[step])
+    while cur.n > kernel_vertex_bound(k):
+        p = find_unimportant_path(cur, MIN_PATH_LENGTH)
+        if p is None:
+            raise InternalInvariantError(
+                "no degree-two path of length 8 although the vertex bound is "
+                "exceeded; this contradicts the kernel guarantee")
+        cur, step = contract_path_edge(cur, p)
+        trace.steps.append(step)
+    trace.final_graph = cur
+    return trace
+
+
+def _subdivided(rng, hubs, core_edges, n):
+    """Replace each core edge (loops and repeats allowed) by a path with at
+    least two interior vertices, spreading n - hubs interior vertices over
+    the paths, then relabel at random."""
+    counts = [2] * len(core_edges)
+    for _ in range(n - hubs - 2 * len(core_edges)):
+        counts[rng.randrange(len(core_edges))] += 1
+    edges, nxt = [], hubs
+    for (u, v), c in zip(core_edges, counts):
+        prev = u
+        for _ in range(c):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+        edges.append((prev, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _oracle_inputs():
+    rng = random.Random(17)
+    for _ in range(8):  # theta graphs: two hubs, k + 1 paths
+        k = rng.randint(1, 4)
+        yield _subdivided(rng, 2, [(0, 1)] * (k + 1), rng.randint(50, 300))
+    for _ in range(8):  # k cycles through one vertex plus pendant trees
+        k = rng.randint(1, 4)
+        n = rng.randint(50, 300)
+        core = _subdivided(rng, 1, [(0, 0)] * k, n - n // 5)
+        edges = list(core.edges()) + [(rng.randrange(v), v) for v in range(core.n, n)]
+        yield Graph(n, edges)
+    for _ in range(8):  # random multigraph cores on 3-5 hubs
+        hubs = rng.randint(3, 5)
+        core = [(rng.randrange(hubs), rng.randrange(hubs))
+                for _ in range(rng.randint(hubs, 2 * hubs))]
+        yield _subdivided(rng, hubs, core, rng.randint(max(50, hubs + 2 * len(core)), 300))
+
+
+def test_kernel_sweep_matches_stepwise_loop():
+    for g in _oracle_inputs():
+        expected = _stepwise_kernel(g)
+        trace = kernelize_fes(g)
+        assert len(trace.steps) > 1  # every input needs contractions
+        assert trace.steps == expected.steps
+        assert trace.final_graph == expected.final_graph
+        assert trace.to_json_dict() == expected.to_json_dict()
+        assert trace.replay() == trace.final_graph
+
+
+def test_kernel_subdivided_k4_stalls_in_both():
+    k4 = list(itertools.combinations(range(4), 2))
+    g = _subdivided(random.Random(2), 4, k4, 58)  # k = 3, bound 46
+    with pytest.raises(InternalInvariantError) as stepwise:
+        _stepwise_kernel(g)
+    with pytest.raises(InternalInvariantError) as sweep:
+        kernelize_fes(g)
+    assert str(sweep.value) == str(stepwise.value)
