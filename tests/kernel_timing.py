@@ -2,56 +2,37 @@
 
 Run from the repository root:
 
-    python3 tests/kernel_timing.py [--n 2000] [--k 2] [--seed 0] [--repeat 5]
+    python3 tests/kernel_timing.py
 
-Prints the input size, the kernel size, the step count and the fastest of
-``--repeat`` runs in seconds.  It asserts nothing about time, so it is not
-part of the test suite (pytest collects only ``test_*.py``).
+The input comes from the benchmark's theta generator (two hubs joined by
+k + 1 long paths, vertices relabelled at random).  Prints the input size,
+the kernel size, the step count and the fastest of five runs in seconds.
+It asserts nothing about time, so it is not part of the test suite (pytest
+collects only ``test_*.py``).
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from fbranch.graph import Graph  # noqa: E402
 from fbranch.kernel import kernelize_fes  # noqa: E402
+from perfbench.workloads import relabel, theta_graph  # noqa: E402
 
-
-def theta_graph(rng: random.Random, n: int, k: int) -> Graph:
-    """Two hubs joined by k + 1 internally disjoint paths whose n - 2
-    interior vertices are spread at random (at least one per path), with
-    the vertices relabelled at random."""
-    counts = [1] * (k + 1)
-    for _ in range(n - 2 - (k + 1)):
-        counts[rng.randrange(k + 1)] += 1
-    edges, nxt = [], 2
-    for c in counts:
-        prev = 0
-        for _ in range(c):
-            edges.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-        edges.append((prev, 1))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+N, K, SEED, REPEAT = 2000, 2, 0, 5
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=2000)
-    ap.add_argument("--k", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeat", type=int, default=5)
-    args = ap.parse_args()
-    g = theta_graph(random.Random(args.seed), args.n, args.k)
+    rng = random.Random(SEED)
+    g = Graph(N, relabel(rng, N, theta_graph(rng, N, K)))
     best = float("inf")
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         trace = kernelize_fes(g)
         best = min(best, time.perf_counter() - start)
