@@ -2,16 +2,13 @@
 
 Commands: width, solve, kernelize, prune, classify, typical, verify-lemmas.
 Reports are plain text or JSON (schema "fbranch/1"); with a fixed seed and
-configuration the emitted documents are byte-identical across runs.  The
-environment variable FBRANCH_THREADS caps worker parallelism; the current
-implementation evaluates sequentially, which satisfies any positive cap.
+configuration the emitted documents are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,7 +22,6 @@ from .decomp import (
     exact_branchwidth_enum,
     greedy_branchwidth,
     parse_decomposition,
-    validate_decomposition,
 )
 from .errors import FBranchError
 from .families import classify_si, parse_ordered_bipartite
@@ -44,19 +40,6 @@ from .verify import SUITES, run_suites
 SCHEMA = "fbranch/1"
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("FBRANCH_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise FBranchError(f"FBRANCH_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise FBranchError("FBRANCH_THREADS must be positive")
-    return cap
-
-
 def _read(path: str) -> str:
     return Path(path).read_text()
 
@@ -73,7 +56,6 @@ def cmd_width(args) -> int:
     g = parse_graph(_read(args.graph))
     bd = parse_decomposition(_read(args.decomp))
     sel = FamilySelector.parse(args.families)
-    validate_decomposition(bd, g)
     report = decomposition_width(bd, g, sel)
     doc = {"schema": SCHEMA, "command": "width", **report.to_json_dict()}
     lines = [f"width {report.width} (families {sel.name()})"]
@@ -92,7 +74,6 @@ def cmd_solve(args) -> int:
         width, bd = exact_branchwidth_enum(g, sel, limit=min(args.limit, 9))
     else:
         width, bd = greedy_branchwidth(g, sel)
-    validate_decomposition(bd, g)
     check = decomposition_width(bd, g, sel)
     if args.solver != "greedy" and check.width != width:
         raise FBranchError("internal: reported width does not re-evaluate")
@@ -258,12 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()  # validate the env var early
         return args.fn(args)
-    except FBranchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (FBranchError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -124,23 +124,25 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(len(keep), edges), tuple(keep)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal connected vertex sets, sorted by smallest member."""
-    seen = [False] * g.n
+def connected_components(g: Graph, vertices: Iterable[int] | None = None
+                         ) -> list[frozenset[int]]:
+    """Maximal connected vertex sets of the subgraph induced on ``vertices``
+    (default: all of g), sorted by smallest member."""
+    inside = frozenset(range(g.n) if vertices is None else vertices)
+    seen: set[int] = set()
     comps = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in sorted(inside):
+        if start in seen:
             continue
         stack = [start]
-        seen[start] = True
         comp = {start}
         while stack:
             u = stack.pop()
             for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
+                if w in inside and w not in comp:
                     comp.add(w)
                     stack.append(w)
+        seen |= comp
         comps.append(frozenset(comp))
     return comps
 

@@ -23,7 +23,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
-from .graph import Graph, bridges
+from .graph import Graph, bridges, connected_components
 
 MIN_PATH_LENGTH = 8
 
@@ -189,21 +189,8 @@ def _degree_two_runs(g: Graph) -> list[list[int]]:
     smallest vertex, toward its smaller neighbor), so the result is
     deterministic.
     """
-    deg2 = {v for v in range(g.n) if g.degree(v) == 2}
-    seen: set[int] = set()
     runs: list[list[int]] = []
-    for v in sorted(deg2):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in deg2 and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
+    for comp in connected_components(g, (v for v in range(g.n) if g.degree(v) == 2)):
         endpoints = sorted(u for u in comp
                            if len(g.adj[u] & comp) <= 1)
         if endpoints:

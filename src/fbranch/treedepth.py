@@ -12,12 +12,14 @@ before versus width after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .canonical import canonical_form
 from .errors import SizeLimitError, ValidationError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, connected_components, induced_subgraph
 
 
 @dataclass
@@ -26,10 +28,6 @@ class TreedepthDecomposition:
     None) whose closure contains every graph edge."""
 
     parent: dict[int, int | None]
-
-    @property
-    def roots(self) -> list[int]:
-        return sorted(v for v, p in self.parent.items() if p is None)
 
     def depth(self, v: int) -> int:
         d = 1
@@ -51,22 +49,9 @@ class TreedepthDecomposition:
             lst.sort()
         return out
 
-    def subtree_vertices(self, v: int) -> frozenset[int]:
-        kids = self.children()
-        out = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(kids[u])
-        return frozenset(out)
-
-    def rank(self, v: int) -> int:
-        """height - distance from the root; the deepest leaves have rank 1."""
-        return self.height - (self.depth(v) - 1)
-
     def validate(self, g: Graph) -> None:
-        assert set(self.parent) == set(range(g.n))
+        if set(self.parent) != set(range(g.n)):
+            raise ValidationError("parent map must cover exactly the graph's vertices")
         for u, v in g.edges():
             au = self._ancestors(u)
             if v not in au and u not in self._ancestors(v):
@@ -85,7 +70,6 @@ def treedepth_decomposition(g: Graph, limit: int = 12) -> TreedepthDecomposition
     memoization on the vertex subset."""
     if g.n > limit:
         raise SizeLimitError(f"exact treedepth limited to n <= {limit}, got {g.n}")
-    adj = g.adj
     memo: dict[frozenset[int], tuple[int, dict[int, int | None]]] = {}
 
     def solve(vertices: frozenset[int]) -> tuple[int, dict[int, int | None]]:
@@ -94,7 +78,7 @@ def treedepth_decomposition(g: Graph, limit: int = 12) -> TreedepthDecomposition
         hit = memo.get(vertices)
         if hit is not None:
             return hit
-        comps = _components_within(adj, vertices)
+        comps = connected_components(g, vertices)
         if len(comps) > 1:
             height = 0
             parent: dict[int, int | None] = {}
@@ -129,59 +113,48 @@ def treedepth_decomposition(g: Graph, limit: int = 12) -> TreedepthDecomposition
     return TreedepthDecomposition(parent)
 
 
-def _components_within(adj, vertices: frozenset[int]) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def exact_treedepth(g: Graph, limit: int = 12) -> int:
     return treedepth_decomposition(g, limit).height
 
 
-@dataclass(frozen=True)
-class ComponentSignature:
+def _signature(g: Graph, attach: frozenset[int], comp: frozenset[int]) -> tuple:
     """Equality class of a component: colored canonical form of its graph,
     where each vertex's color is the exact set of attachment vertices it
     neighbors.  Equal signatures mean an isomorphism exists matching both
     the component graphs and every attachment adjacency."""
-
-    canonical: tuple
-
-    @staticmethod
-    def of(g: Graph, attach_to: frozenset[int], comp: frozenset[int]) -> "ComponentSignature":
-        sub, remap = induced_subgraph(g, comp)
-        colors = [tuple(sorted(g.adj[remap[i]] & attach_to)) for i in range(sub.n)]
-        return ComponentSignature(canonical_form(sub, colors))
+    sub, remap = induced_subgraph(g, comp)
+    return canonical_form(sub, [tuple(sorted(g.adj[v] & attach)) for v in remap])
 
 
-def component_signature(g: Graph, r: frozenset[int], comp: frozenset[int]
-                        ) -> ComponentSignature:
+def component_signature(g: Graph, r: frozenset[int], comp: frozenset[int]) -> tuple:
     """Signature of one connected component of g - r."""
-    comps = _components_within(g.adj, frozenset(range(g.n)) - frozenset(r))
-    if frozenset(comp) not in comps:
+    r, comp = frozenset(r), frozenset(comp)
+    if comp not in connected_components(g, set(range(g.n)) - r):
         raise ValueError("comp is not a connected component of g - r")
-    return ComponentSignature.of(g, frozenset(r), frozenset(comp))
+    return _signature(g, r, comp)
+
+
+def _surplus(g: Graph, attach: frozenset[int], comps: list[frozenset[int]],
+             bound: Callable[[int], int]) -> list[frozenset[int]]:
+    """Group ``comps`` by signature; of each class (in order of first
+    appearance) return the members past the first ``bound(member size)``,
+    members sorted by smallest vertex.  Every bound is at least 1, so a
+    class with one member is never asked for its bound."""
+    classes: dict[tuple, list[frozenset[int]]] = {}
+    for comp in comps:
+        classes.setdefault(_signature(g, attach, comp), []).append(comp)
+    out: list[frozenset[int]] = []
+    for members in classes.values():
+        if len(members) > 1:
+            members.sort(key=min)
+            out.extend(members[bound(len(members[0])):])
+    return out
 
 
 @dataclass
 class PruneRecord:
-    removed: list[frozenset[int]] = field(default_factory=list)
-    vertex_map: tuple[int, ...] = ()  # new index -> old index
+    removed: list[frozenset[int]]
+    vertex_map: tuple[int, ...]  # new index -> old index
 
     def removed_count(self) -> int:
         return sum(len(c) for c in self.removed)
@@ -194,21 +167,12 @@ def prune_duplicates(g: Graph, r: frozenset[int], threshold: int
     if threshold < 1:
         raise ValidationError("threshold must be >= 1")
     r = frozenset(r)
-    record = PruneRecord()
-    by_sig: dict[ComponentSignature, list[frozenset[int]]] = {}
-    for comp in _components_within(g.adj, frozenset(range(g.n)) - r):
-        sig = ComponentSignature.of(g, r, comp)
-        by_sig.setdefault(sig, []).append(comp)
-    drop: set[int] = set()
-    for sig in by_sig:
-        comps = sorted(by_sig[sig], key=min)
-        for extra in comps[threshold:]:
-            record.removed.append(extra)
-            drop |= extra
+    comps = connected_components(g, set(range(g.n)) - r)
+    removed = _surplus(g, r, comps, lambda size: threshold)
+    drop = set().union(*removed)
     survivors = [v for v in range(g.n) if v not in drop]
-    record.vertex_map = tuple(survivors)
     out, _ = induced_subgraph(g, survivors)
-    return out, record
+    return out, PruneRecord(removed=removed, vertex_map=tuple(survivors))
 
 
 # ---------------------------------------------------------------------------
@@ -279,53 +243,30 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None,
     if threshold is not None and threshold < 1:
         raise ValidationError("threshold must be >= 1")
     td = treedepth_decomposition(g, limit)
+    kids = td.children()
+    depth = {v: td.depth(v) for v in td.parent}
+
+    def class_bound(t: int, size: int) -> int:
+        if threshold is not None:
+            return threshold
+        if paper_bound:
+            return bound_g(t, size)[4]
+        return surrogate_threshold(t, size)
+
+    below: dict[int, frozenset[int]] = {}  # node -> its decomposition subtree
     alive: set[int] = set(range(g.n))
     removed: list[frozenset[int]] = []
-    height = td.height
-    nodes_by_rank: dict[int, list[int]] = {}
-    for v in td.parent:
-        nodes_by_rank.setdefault(td.rank(v), []).append(v)
-    for rank in range(2, height + 1):
-        for node in sorted(nodes_by_rank.get(rank, ())):
-            if node not in alive:
-                continue
-            root_path = frozenset(_root_path(td, node))
-            kids = [c for c in td.children()[node] if c in alive]
-            groups: dict[ComponentSignature, list[frozenset[int]]] = {}
-            for c in kids:
-                sub = frozenset(v for v in td.subtree_vertices(c) if v in alive)
-                if not sub:
-                    continue
-                sig = _subtree_signature(g, alive, root_path, sub)
-                groups.setdefault(sig, []).append(sub)
-            for sig, subs in groups.items():
-                subs.sort(key=min)
-                if threshold is not None:
-                    keep = threshold
-                elif paper_bound:
-                    keep = bound_g(len(root_path), len(subs[0]))[4]
-                else:
-                    keep = surrogate_threshold(len(root_path), len(subs[0]))
-                for extra in subs[keep:]:
-                    removed.append(extra)
-                    alive -= extra
+    # deepest nodes first, so every subtree is pruned before its ancestors
+    for node in sorted(td.parent, key=lambda v: (-depth[v], v)):
+        below[node] = frozenset([node]).union(*(below[c] for c in kids[node]))
+        if node not in alive:
+            continue
+        # the subtrees attach to the node and its ancestors: depth[node] vertices
+        attach = frozenset(td._ancestors(node) | {node})
+        subs = [below[c] & alive for c in kids[node] if c in alive]
+        for extra in _surplus(g, attach, subs, partial(class_bound, depth[node])):
+            removed.append(extra)
+            alive -= extra
     survivors = sorted(alive)
     out, _ = induced_subgraph(g, survivors)
-    record = PruneRecord(removed=removed, vertex_map=tuple(survivors))
-    return out, record
-
-
-def _root_path(td: TreedepthDecomposition, node: int) -> list[int]:
-    out = [node]
-    v = node
-    while td.parent[v] is not None:
-        v = td.parent[v]
-        out.append(v)
-    return out
-
-
-def _subtree_signature(g: Graph, alive: set[int], root_path: frozenset[int],
-                       sub: frozenset[int]) -> ComponentSignature:
-    subg, remap = induced_subgraph(g, sub)
-    colors = [tuple(sorted(g.adj[remap[i]] & root_path)) for i in range(subg.n)]
-    return ComponentSignature(canonical_form(subg, colors))
+    return out, PruneRecord(removed=removed, vertex_map=tuple(survivors))

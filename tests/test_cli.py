@@ -166,15 +166,6 @@ def test_verify_lemmas_detects_injected_fault(capsys, tmp_path, monkeypatch):
     assert dumps and json.loads(dumps[0].read_text())["violations"]
 
 
-def test_threads_env_validation(c6, capsys, monkeypatch):
-    monkeypatch.setenv("FBRANCH_THREADS", "four")
-    code, _, err = run(capsys, "solve", "--graph", str(c6))
-    assert code == 2 and "FBRANCH_THREADS" in err
-    monkeypatch.setenv("FBRANCH_THREADS", "4")
-    code, _, _ = run(capsys, "solve", "--graph", str(c6))
-    assert code == 0
-
-
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n1 1\n")
@@ -220,3 +211,22 @@ def test_prune_threshold_below_one_exit_code(tmp_path, capsys):
         code, out, err = run(capsys, "prune", "--in", str(p3), "--threshold", threshold)
         assert_one_error_line(code, err)
         assert out == ""
+
+
+def test_input_directory_exit_code(tmp_path, capsys):
+    code, out, err = run(capsys, "kernelize", "--in", str(tmp_path))
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_undecodable_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "kernelize", "--in", str(bad))
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_output_directory_exit_code(c6, tmp_path, capsys):
+    code, _, err = run(capsys, "solve", "--graph", str(c6), "--out", str(tmp_path))
+    assert_one_error_line(code, err)

@@ -87,6 +87,21 @@ def test_connected_components():
     assert connected_components(Graph(3)) == [frozenset({0}), frozenset({1}), frozenset({2})]
 
 
+def test_connected_components_within_vertices():
+    import random
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        subset = [v for v in range(n) if rng.random() < 0.6]
+        sub, remap = induced_subgraph(g, subset)
+        expected = [frozenset(remap[i] for i in c) for c in connected_components(sub)]
+        assert connected_components(g, subset) == expected
+        assert connected_components(g, iter(subset)) == expected
+        assert connected_components(g, []) == []
+        assert connected_components(g, None) == connected_components(g)
+        assert connected_components(g, range(n)) == connected_components(g)
+
 def brute_force_bridges(g):
     base = len(connected_components(g))
     out = []

@@ -6,9 +6,10 @@ import pytest
 
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
-from fbranch.errors import SizeLimitError
+from fbranch.errors import SizeLimitError, ValidationError
 from fbranch.families import Family
 from fbranch.graph import Graph
+import fbranch.treedepth
 from fbranch.treedepth import (
     bound_f,
     bound_f_star,
@@ -20,6 +21,7 @@ from fbranch.treedepth import (
     prune_duplicates,
     surrogate_threshold,
     treedepth_decomposition,
+    TreedepthDecomposition,
 )
 
 PRIMAL_UNIONS = [FamilySelector(families=frozenset(fams))
@@ -97,6 +99,12 @@ def test_treedepth_decomposition_valid():
         td.validate(g)
         assert td.height == brute_force_treedepth(g)
 
+
+def test_treedepth_validate_rejects_parent_map_off_the_vertices():
+    g = path(3)
+    for parent in ({0: None, 1: 0}, {0: None, 1: 0, 2: 1, 3: 2}):
+        with pytest.raises(ValidationError):
+            TreedepthDecomposition(parent).validate(g)
 
 def test_treedepth_limit():
     with pytest.raises(SizeLimitError):
@@ -228,6 +236,22 @@ def test_prune_by_treedepth_paper_bound_prunes_nothing_small():
     out, record = prune_by_treedepth(g, paper_bound=True)
     assert out.n == g.n and record.removed_count() == 0
 
+
+def test_prune_by_treedepth_paper_bound_skips_single_member_classes(monkeypatch):
+    # a spider with legs of 8, 1, 1 and 1 vertices: the long leg is a class
+    # of its own, and g(t, p) for its subtrees (p up to 7) would take
+    # minutes and gigabits; only classes that could lose a member need it
+    g = Graph(12, [(i, i + 1) for i in range(8)] + [(0, 9), (0, 10), (0, 11)])
+    real = fbranch.treedepth.bound_g
+
+    def guarded(t, p):
+        if p >= 6:
+            raise AssertionError(f"bound_g({t}, {p}) asked for")
+        return real(t, p)
+
+    monkeypatch.setattr(fbranch.treedepth, "bound_g", guarded)
+    out, record = prune_by_treedepth(g, paper_bound=True)
+    assert out == g and record.removed == []
 
 def test_prune_duplicates_never_increases_width():
     rng = random.Random(29)
