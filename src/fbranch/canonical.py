@@ -67,10 +67,3 @@ def canonical_form(g: Graph, colors: Sequence[Hashable] | None = None) -> tuple:
     assert best_bits is not None
     return (tuple(sorted(color_keys)), best_bits)
 
-
-def are_isomorphic(g1: Graph, g2: Graph,
-                   colors1: Sequence[Hashable] | None = None,
-                   colors2: Sequence[Hashable] | None = None) -> bool:
-    if g1.n != g2.n or g1.num_edges() != g2.num_edges():
-        return False
-    return canonical_form(g1, colors1) == canonical_form(g2, colors2)

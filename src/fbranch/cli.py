@@ -69,9 +69,9 @@ def cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
     sel = FamilySelector.parse(args.families)
     if args.solver == "dp":
-        width, bd = exact_branchwidth_dp(g, sel, limit=args.limit)
+        width, bd = exact_branchwidth_dp(g, sel)
     elif args.solver == "enum":
-        width, bd = exact_branchwidth_enum(g, sel, limit=min(args.limit, 9))
+        width, bd = exact_branchwidth_enum(g, sel)
     else:
         width, bd = greedy_branchwidth(g, sel)
     check = decomposition_width(bd, g, sel)
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True)
     s.add_argument("--families", default="primal")
     s.add_argument("--solver", choices=("dp", "enum", "greedy"), default="dp")
-    s.add_argument("--limit", type=int, default=15)
     s.add_argument("--out-decomp")
     s.add_argument("--report", choices=("text", "json"), default="text")
     s.add_argument("--out")

@@ -85,7 +85,6 @@ class FamilySelector:
 
 PRIMAL = FamilySelector(families=PRIMAL_FAMILIES)
 ALL_FAMILIES = FamilySelector(families=frozenset(FAMILY_ORDER))
-NTC = FamilySelector(ntc=True)
 
 
 @dataclass(frozen=True)
@@ -259,15 +258,6 @@ def family_value(b: BipartiteCutGraph, family: Family) -> tuple[int, PatternWitn
     return len(pairs), PatternWitness(family, len(pairs), pairs)
 
 
-def family_cut_value(g: Graph, side_x: Iterable[int],
-                     sel: FamilySelector) -> tuple[int, PatternWitness]:
-    """Maximum pattern value over the selected families for the cut
-    (X, V - X); ties broken by family declaration order."""
-    if sel.ntc:
-        raise ValueError("family_cut_value needs pattern families; use ntc_value")
-    return CutEvaluator(g).value_of(side_x, sel)
-
-
 def _twin_classes(adj: list[int], side: int, rest: int) -> int:
     """Number of classes of ``side`` under equal neighbourhood in ``rest``."""
     return len({adj[bit.bit_length() - 1] & rest for bit in _iter_bits(side)})
@@ -279,13 +269,15 @@ def ntc_value(g: Graph, side_x: Iterable[int]) -> int:
     return _twin_classes(_adjacency_masks(g), x, ((1 << g.n) - 1) ^ x)
 
 
-def generic_pattern_value(b: BipartiteCutGraph, family: Family,
-                          limit: int = 24) -> int:
+ORACLE_MAX_VERTICES = 24
+
+
+def generic_pattern_value(b: BipartiteCutGraph, family: Family) -> int:
     """Ground-truth oracle: exhaustive depth-first search over ordered
     partner selections checking the family formula on every prefix."""
-    if len(b.x_vertices) + len(b.y_vertices) > limit:
+    if len(b.x_vertices) + len(b.y_vertices) > ORACLE_MAX_VERTICES:
         raise SizeLimitError(
-            f"oracle limited to {limit} cut-graph vertices, got "
+            f"oracle limited to {ORACLE_MAX_VERTICES} cut-graph vertices, got "
             f"{len(b.x_vertices) + len(b.y_vertices)}")
     xs = b.x_vertices
     ys = b.y_vertices

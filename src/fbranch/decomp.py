@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness
 from .errors import DecompositionError, MalformedLineError, SizeLimitError, ValidationError
-from .graph import Graph, connected_components, induced_subgraph, mask_of
+from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
+
+ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
+DP_MAX_N = 15  # 2^n-entry tables and 3^n splits
 
 
 class BranchDecomposition:
@@ -151,15 +154,16 @@ def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
 # enumeration of decomposition shapes
 
 
-def enumerate_decompositions(n: int, limit: int = 9) -> Iterator[BranchDecomposition]:
+def enumerate_decompositions(n: int) -> Iterator[BranchDecomposition]:
     """All leaf-labeled unrooted binary trees on leaves 0..n-1, each exactly
     once, in a fixed insertion order; (2n-5)!! of them for n >= 3.
 
     Leaves are the nodes 0..n-1 (mapped identically to vertices); internal
     nodes are n..2n-3.
     """
-    if n > limit:
-        raise SizeLimitError(f"decomposition enumeration limited to n <= {limit}, got {n}")
+    if n > ENUM_MAX_N:
+        raise SizeLimitError(
+            f"decomposition enumeration limited to n <= {ENUM_MAX_N}, got {n}")
     if n == 0:
         yield BranchDecomposition(0, [], {})
         return
@@ -192,7 +196,7 @@ def _shape_cut_masks(n: int) -> tuple[tuple[tuple[int, ...], BranchDecomposition
     """For each enumerated shape: the leaf-set masks of all its edge cuts.
     Shared by the enumeration solver across graphs of the same order."""
     shapes = []
-    for bd in enumerate_decompositions(n, limit=max(n, 9)):
+    for bd in enumerate_decompositions(n):
         masks = []
         for e in bd.edges:
             masks.append(mask_of(edge_cut(bd, e)))
@@ -200,14 +204,14 @@ def _shape_cut_masks(n: int) -> tuple[tuple[tuple[int, ...], BranchDecomposition
     return tuple(shapes)
 
 
-def exact_branchwidth_enum(g: Graph, sel: FamilySelector, limit: int = 9,
+def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
                            evaluator: CutEvaluator | None = None
                            ) -> tuple[int, BranchDecomposition]:
     """Global minimum width over all decomposition shapes; returns the first
     achiever in enumeration order."""
     n = g.n
-    if n > limit:
-        raise SizeLimitError(f"enumeration solver limited to n <= {limit}, got {n}")
+    if n > ENUM_MAX_N:
+        raise SizeLimitError(f"enumeration solver limited to n <= {ENUM_MAX_N}, got {n}")
     if n <= 2:
         bd = next(enumerate_decompositions(n))
         return (decomposition_width(bd, g, sel).width if n == 2 else 0), bd
@@ -237,17 +241,43 @@ def exact_branchwidth_enum(g: Graph, sel: FamilySelector, limit: int = 9,
 # subset-split dynamic program
 
 
+def _tree_from_splits(n: int, split: Callable[[int], tuple[int, int]]
+                      ) -> BranchDecomposition:
+    """The decomposition grown from ``split``: the root edge joins the two
+    sides of split(V), and every other leaf set S of two or more vertices
+    hangs below an internal node whose children are the sides of split(S).
+    Leaves are the vertex ids; internal nodes are numbered from n in
+    preorder."""
+    if n <= 1:
+        return BranchDecomposition(n, [], {0: 0} if n else {})
+    edges: list[tuple[int, int]] = []
+    next_internal = n
+
+    def build(mask: int) -> int:
+        nonlocal next_internal
+        if mask & (mask - 1) == 0:
+            return mask.bit_length() - 1
+        node = next_internal
+        next_internal += 1
+        s1, s2 = split(mask)
+        edges.append((node, build(s1)))
+        edges.append((node, build(s2)))
+        return node
+
+    root_a, root_b = split((1 << n) - 1)
+    left = build(root_a)
+    right = build(root_b)
+    edges.append((left, right))
+    return BranchDecomposition(next_internal, edges, {i: i for i in range(n)})
+
+
 def _dp_solve(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
               ) -> tuple[int, BranchDecomposition]:
     """Exact solver on the whole vertex set: best(S) is the minimum over
     unordered splits {S1, S2} of max(f(S1), f(S2), best(S1), best(S2)) with
-    singleton base 0; the answer joins the two subtrees of the best root
-    bipartition with a single edge."""
+    singleton base 0.  The best split of V is the root edge: f(S1) equals
+    f(S2) there, so best(V) already counts the root cut."""
     n = g.n
-    if n == 0:
-        return 0, BranchDecomposition(0, [], {})
-    if n == 1:
-        return 0, BranchDecomposition(1, [], {0: 0})
     full = (1 << n) - 1
 
     # the recursion touches every subset, so build the whole value table
@@ -289,41 +319,7 @@ def _dp_solve(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
         if best_val > vals[s]:
             combo[s] = best_val
 
-    root_val = None
-    root_a = 0
-    for t in range(0, (full >> 1) + 1):
-        a = (t << 1) | 1  # sides containing vertex 0, ascending
-        bmask = full ^ a
-        if bmask == 0:
-            continue
-        # vals[a] == vals[bmask], so both subtree combos cover the root cut
-        val = max(combo[a], combo[bmask])
-        if root_val is None or val < root_val:
-            root_val = val
-            root_a = a
-    assert root_val is not None
-
-    # reconstruct: leaves are vertex ids, internal ids allocated from n
-    edges: list[tuple[int, int]] = []
-    next_internal = n
-
-    def build(mask: int) -> int:
-        nonlocal next_internal
-        if mask & (mask - 1) == 0:
-            return mask.bit_length() - 1
-        node = next_internal
-        next_internal += 1
-        s1 = split[mask]
-        s2 = mask ^ s1
-        edges.append((node, build(s1)))
-        edges.append((node, build(s2)))
-        return node
-
-    left = build(root_a)
-    right = build(full ^ root_a)
-    edges.append((left, right))
-    bd = BranchDecomposition(next_internal, edges, {i: i for i in range(n)})
-    return root_val, bd
+    return best[full], _tree_from_splits(n, lambda m: (split[m], m ^ split[m]))
 
 
 def _relabel(bd: BranchDecomposition, vertex_map: Sequence[int]) -> BranchDecomposition:
@@ -333,7 +329,7 @@ def _relabel(bd: BranchDecomposition, vertex_map: Sequence[int]) -> BranchDecomp
         {leaf: vertex_map[v] for leaf, v in bd.leaf_map.items()})
 
 
-def exact_branchwidth_dp(g: Graph, sel: FamilySelector, limit: int = 15,
+def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
                          evaluator: CutEvaluator | None = None
                          ) -> tuple[int, BranchDecomposition]:
     """Exact minimum width and a witness decomposition.
@@ -349,13 +345,13 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector, limit: int = 15,
     comps = connected_components(g)
     if len(comps) > 1 and sel.is_primal_union():
         for comp in comps:
-            if len(comp) > limit:
+            if len(comp) > DP_MAX_N:
                 raise SizeLimitError(
-                    f"component of size {len(comp)} exceeds solver limit {limit}")
+                    f"component of size {len(comp)} exceeds solver limit {DP_MAX_N}")
         parts = []
         for comp in comps:
             sub, remap = induced_subgraph(g, comp)
-            _, bd = exact_branchwidth_dp(sub, sel, limit)
+            _, bd = exact_branchwidth_dp(sub, sel)
             parts.append(_relabel(bd, remap))
         joined = parts[0]
         for nxt in parts[1:]:
@@ -363,8 +359,8 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector, limit: int = 15,
         ev = evaluator if evaluator is not None else CutEvaluator(g)
         width = decomposition_width(joined, g, sel, evaluator=ev).width
         return width, joined
-    if g.n > limit:
-        raise SizeLimitError(f"dynamic program limited to n <= {limit}, got {g.n}")
+    if g.n > DP_MAX_N:
+        raise SizeLimitError(f"dynamic program limited to n <= {DP_MAX_N}, got {g.n}")
     ev = evaluator if evaluator is not None else CutEvaluator(g)
     return _dp_solve(g, sel, ev)
 
@@ -378,113 +374,37 @@ def greedy_branchwidth(g: Graph, sel: FamilySelector
     """Upper-bound heuristic: recursive balanced bipartitioning, improving
     each split by deterministic swap local search.  The returned width is
     that of a genuine decomposition, hence >= the exact optimum."""
-    n = g.n
-    if n == 0:
-        return 0, BranchDecomposition(0, [], {})
-    if n == 1:
-        return 0, BranchDecomposition(1, [], {0: 0})
     ev = CutEvaluator(g)
 
-    def split_cost(side: set[int]) -> int:
-        return ev.value_of_mask(mask_of(side), sel)[0]
-
-    def balanced_split(vertices: list[int]) -> tuple[list[int], list[int]]:
-        half = len(vertices) // 2
-        a = set(vertices[:half])
-        b = set(vertices[half:])
-        cost = split_cost(a)
+    def balanced_split(mask: int) -> tuple[int, int]:
+        # the lower half of the vertices against the upper half, then the
+        # first improving swap (ascending u in a, then v in b) until none
+        bits = list(_iter_bits(mask))
+        a = sum(bits[:len(bits) // 2])
+        b = mask ^ a
+        cost = ev.value_of_mask(a, sel)[0]
         improved = True
         while improved:
             improved = False
-            for u in sorted(a):
-                for v in sorted(b):
-                    a2 = (a - {u}) | {v}
-                    c2 = split_cost(a2)
+            for u in _iter_bits(a):
+                for v in _iter_bits(b):
+                    c2 = ev.value_of_mask(a ^ u ^ v, sel)[0]
                     if c2 < cost:
-                        a = a2
-                        b = (b - {v}) | {u}
+                        a ^= u ^ v
+                        b ^= u ^ v
                         cost = c2
                         improved = True
                         break
                 if improved:
                     break
-        return sorted(a), sorted(b)
+        return a, b
 
-    edges: list[tuple[int, int]] = []
-    next_internal = n
-
-    def build(vertices: list[int]) -> int:
-        nonlocal next_internal
-        if len(vertices) == 1:
-            return vertices[0]
-        node = next_internal
-        next_internal += 1
-        a, b = balanced_split(vertices)
-        edges.append((node, build(a)))
-        edges.append((node, build(b)))
-        return node
-
-    top_a, top_b = balanced_split(list(range(n)))
-    left = build(top_a)
-    right = build(top_b)
-    edges.append((left, right))
-    bd = BranchDecomposition(next_internal, edges, {i: i for i in range(n)})
+    bd = _tree_from_splits(g.n, balanced_split)
     return decomposition_width(bd, g, sel, evaluator=ev).width, bd
 
 
 # ---------------------------------------------------------------------------
 # tree utilities
-
-
-def restrict_tree(adjacency: dict[int, set[int]], keep: Iterable[int]
-                  ) -> tuple[dict[int, set[int]], dict[tuple[int, int], tuple[int, ...]]]:
-    """Minimal subtree spanning ``keep`` with degree-2 nodes outside
-    ``keep`` contracted away.
-
-    Returns the restricted tree's adjacency and, for each of its edges,
-    the corresponding original path (as a node tuple).
-    """
-    keep = set(keep)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    nodes = set(adjacency)
-    if not keep <= nodes:
-        raise ValueError("keep set must be tree nodes")
-    # prune leaves not in keep until the minimal Steiner subtree remains
-    adj = {v: set(ws) for v, ws in adjacency.items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if v not in keep and len(adj[v]) <= 1:
-                for w in adj[v]:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
-    # contract degree-2 nodes outside keep
-    result: dict[int, set[int]] = {v: set() for v in adj
-                                   if v in keep or len(adj[v]) != 2}
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    seen_edges = set()
-    for start in sorted(result):
-        for first in sorted(adj[start]):
-            if (start, first) in seen_edges:
-                continue
-            path = [start, first]
-            prev, cur = start, first
-            while cur not in result:
-                nxt = next(iter(adj[cur] - {prev}))
-                prev, cur = cur, nxt
-                path.append(cur)
-            seen_edges.add((start, first))
-            seen_edges.add((cur, prev))
-            end = path[-1]
-            result[start].add(end)
-            result[end].add(start)
-            key = (min(start, end), max(start, end))
-            if key not in paths:
-                paths[key] = tuple(path if start <= end else path[::-1])
-    return result, paths
 
 
 def find_balanced_edge(adjacency: dict[int, set[int]],
@@ -617,6 +537,10 @@ def parse_decomposition(text: str) -> BranchDecomposition:
             edges.append((a, b))
         else:
             leaf_map[a] = b
+    # checked before the tree is built: its adjacency has one set per node
+    if num_nodes != len(edges) + 1 and not (num_nodes == 0 and len(lines) == 1):
+        raise MalformedLineError(
+            f"'tree {num_nodes}' needs {num_nodes - 1} 't' lines, got {len(edges)}")
     for u, v in edges:
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise MalformedLineError(f"tree edge ({u}, {v}) out of range")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from math import comb
 from typing import Sequence
 
 from .errors import MalformedLineError
@@ -118,6 +117,8 @@ def parse_ordered_bipartite(text: str) -> OrderedBipartiteGraph:
         q = int(lines[0])
     except ValueError:
         raise MalformedLineError(f"first line must be the pair count, got {lines[0]!r}")
+    if q < 1:
+        raise MalformedLineError(f"pair count must be at least 1, got {q}")
     edges = set()
     for ln in lines[1:]:
         parts = ln.split()
@@ -251,20 +252,3 @@ def find_homogeneous_subset(h: OrderedBipartiteGraph, n: int) -> HomogeneousSubs
             return HomogeneousSubset(subset, tags[0], False)
     return None
 
-
-def ramsey_upper_bound(sizes: Sequence[int]) -> int:
-    """Upper bound on the multicolor Ramsey number for the given clique
-    targets: binom(n1 + n2 - 1, n1 - 1) for two colors, one color is the
-    target itself, and more colors reduce by collapsing the last two."""
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("at least one clique target required")
-    if any(s < 1 for s in sizes):
-        raise ValueError("clique targets must be >= 1")
-    if len(sizes) == 1:
-        return sizes[0]
-    while len(sizes) > 2:
-        last = ramsey_upper_bound(sizes[-2:])
-        sizes = sizes[:-2] + [last]
-    n1, n2 = sizes
-    return comb(n1 + n2 - 1, n1 - 1)

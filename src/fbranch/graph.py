@@ -47,14 +47,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def max_degree(self) -> int:
-        return max((len(s) for s in self.adj), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def key(self) -> tuple:
         """Hashable structural identity (used as a cache key)."""
@@ -98,10 +92,6 @@ def parse_graph(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise MalformedLineError(f"edge line must be two integers, got {ln!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise LoopEdgeError(f"loop edge at vertex {u}")
         edges.append((u, v))
     return Graph(n, edges)
 
@@ -145,10 +135,6 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None
         seen |= comp
         comps.append(frozenset(comp))
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
@@ -219,9 +205,6 @@ class BipartiteCutGraph:
         return frozenset((x, y) for x in self.x_vertices
                          for y in set_of(self.nbr[x]))
 
-    def unordered_pairs(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.edges)
-
     def has_edge(self, x: int, y: int) -> bool:
         return bool(self.nbr[x] >> y & 1)
 
@@ -240,28 +223,10 @@ def cut_graph(g: Graph, side_x: Iterable[int]) -> BipartiteCutGraph:
     return BipartiteCutGraph(x, ((1 << g.n) - 1) ^ x, _adjacency_masks(g))
 
 
-def distance_neighborhood(g: Graph, s: Iterable[int], radius: int,
-                          closed: bool = True) -> frozenset[int]:
-    """Vertices at distance <= radius from ``s`` (closed), or the same minus
-    ``s`` itself (open)."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    seed = set(s)
-    reached = set(seed)
-    frontier = set(seed)
-    for _ in range(radius):
-        nxt = set()
-        for v in frontier:
-            nxt.update(g.adj[v])
-        nxt -= reached
-        if not nxt:
-            break
-        reached |= nxt
-        frontier = nxt
-    return frozenset(reached if closed else reached - seed)
+TREEWIDTH_MAX_N = 15
 
 
-def exact_treewidth(g: Graph, limit: int = 15) -> int:
+def exact_treewidth(g: Graph) -> int:
     """Exact treewidth via the elimination-ordering dynamic program over
     vertex subsets.
 
@@ -270,8 +235,8 @@ def exact_treewidth(g: Graph, limit: int = 15) -> int:
     vertices outside ``S + v`` reachable from ``v`` through ``S + v``.
     """
     n = g.n
-    if n > limit:
-        raise SizeLimitError(f"exact treewidth limited to n <= {limit}, got {n}")
+    if n > TREEWIDTH_MAX_N:
+        raise SizeLimitError(f"exact treewidth limited to n <= {TREEWIDTH_MAX_N}, got {n}")
     if n == 0:
         return -1
     adj_masks = _adjacency_masks(g)

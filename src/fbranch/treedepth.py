@@ -12,9 +12,7 @@ before versus width after.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 from .canonical import canonical_form
@@ -65,11 +63,15 @@ class TreedepthDecomposition:
         return out
 
 
-def treedepth_decomposition(g: Graph, limit: int = 12) -> TreedepthDecomposition:
+TREEDEPTH_MAX_N = 12
+
+
+def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
     """Exact minimum-height rooted forest via recursive vertex removal with
     memoization on the vertex subset."""
-    if g.n > limit:
-        raise SizeLimitError(f"exact treedepth limited to n <= {limit}, got {g.n}")
+    if g.n > TREEDEPTH_MAX_N:
+        raise SizeLimitError(
+            f"exact treedepth limited to n <= {TREEDEPTH_MAX_N}, got {g.n}")
     memo: dict[frozenset[int], tuple[int, dict[int, int | None]]] = {}
 
     def solve(vertices: frozenset[int]) -> tuple[int, dict[int, int | None]]:
@@ -113,10 +115,6 @@ def treedepth_decomposition(g: Graph, limit: int = 12) -> TreedepthDecomposition
     return TreedepthDecomposition(parent)
 
 
-def exact_treedepth(g: Graph, limit: int = 12) -> int:
-    return treedepth_decomposition(g, limit).height
-
-
 def _signature(g: Graph, attach: frozenset[int], comp: frozenset[int]) -> tuple:
     """Equality class of a component: colored canonical form of its graph,
     where each vertex's color is the exact set of attachment vertices it
@@ -126,31 +124,6 @@ def _signature(g: Graph, attach: frozenset[int], comp: frozenset[int]) -> tuple:
     return canonical_form(sub, [tuple(sorted(g.adj[v] & attach)) for v in remap])
 
 
-def component_signature(g: Graph, r: frozenset[int], comp: frozenset[int]) -> tuple:
-    """Signature of one connected component of g - r."""
-    r, comp = frozenset(r), frozenset(comp)
-    if comp not in connected_components(g, set(range(g.n)) - r):
-        raise ValueError("comp is not a connected component of g - r")
-    return _signature(g, r, comp)
-
-
-def _surplus(g: Graph, attach: frozenset[int], comps: list[frozenset[int]],
-             bound: Callable[[int], int]) -> list[frozenset[int]]:
-    """Group ``comps`` by signature; of each class (in order of first
-    appearance) return the members past the first ``bound(member size)``,
-    members sorted by smallest vertex.  Every bound is at least 1, so a
-    class with one member is never asked for its bound."""
-    classes: dict[tuple, list[frozenset[int]]] = {}
-    for comp in comps:
-        classes.setdefault(_signature(g, attach, comp), []).append(comp)
-    out: list[frozenset[int]] = []
-    for members in classes.values():
-        if len(members) > 1:
-            members.sort(key=min)
-            out.extend(members[bound(len(members[0])):])
-    return out
-
-
 @dataclass
 class PruneRecord:
     removed: list[frozenset[int]]
@@ -158,21 +131,6 @@ class PruneRecord:
 
     def removed_count(self) -> int:
         return sum(len(c) for c in self.removed)
-
-
-def prune_duplicates(g: Graph, r: frozenset[int], threshold: int
-                     ) -> tuple[Graph, PruneRecord]:
-    """Among the components of g - r, keep at most ``threshold`` per
-    signature class (the ones with smallest vertices), drop the rest."""
-    if threshold < 1:
-        raise ValidationError("threshold must be >= 1")
-    r = frozenset(r)
-    comps = connected_components(g, set(range(g.n)) - r)
-    removed = _surplus(g, r, comps, lambda size: threshold)
-    drop = set().union(*removed)
-    survivors = [v for v in range(g.n) if v not in drop]
-    out, _ = induced_subgraph(g, survivors)
-    return out, PruneRecord(removed=removed, vertex_map=tuple(survivors))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +188,7 @@ def surrogate_threshold(t: int, p: int) -> int:
 
 
 def prune_by_treedepth(g: Graph, threshold: int | None = None,
-                       paper_bound: bool = False, limit: int = 12
-                       ) -> tuple[Graph, PruneRecord]:
+                       paper_bound: bool = False) -> tuple[Graph, PruneRecord]:
     """Walk the ranks of an exact treedepth decomposition bottom-to-top; at
     each node group the child subtrees by attachment-colored signature and
     keep at most the class threshold.
@@ -242,7 +199,7 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None,
     """
     if threshold is not None and threshold < 1:
         raise ValidationError("threshold must be >= 1")
-    td = treedepth_decomposition(g, limit)
+    td = treedepth_decomposition(g)
     kids = td.children()
     depth = {v: td.depth(v) for v in td.parent}
 
@@ -263,10 +220,19 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None,
             continue
         # the subtrees attach to the node and its ancestors: depth[node] vertices
         attach = frozenset(td._ancestors(node) | {node})
-        subs = [below[c] & alive for c in kids[node] if c in alive]
-        for extra in _surplus(g, attach, subs, partial(class_bound, depth[node])):
-            removed.append(extra)
-            alive -= extra
+        classes: dict[tuple, list[frozenset[int]]] = {}
+        for c in kids[node]:
+            if c in alive:
+                sub = below[c] & alive
+                classes.setdefault(_signature(g, attach, sub), []).append(sub)
+        # of each class keep the members with the smallest vertices; every
+        # bound is at least 1, so a one-member class never asks for its bound
+        for members in classes.values():
+            if len(members) > 1:
+                members.sort(key=min)
+                for extra in members[class_bound(depth[node], len(members[0])):]:
+                    removed.append(extra)
+                    alive -= extra
     survivors = sorted(alive)
     out, _ = induced_subgraph(g, survivors)
     return out, PruneRecord(removed=removed, vertex_map=tuple(survivors))

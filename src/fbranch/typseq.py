@@ -76,21 +76,21 @@ def shift(s: Sequence[Entry], z: Entry) -> Seq:
     return tuple(e + z for e in s)
 
 
-def enumerate_typical(k: int, _hard_cap: int | None = None) -> list[Seq]:
+def enumerate_typical(k: int) -> list[Seq]:
     """All typical sequences with entries in {0..k}, sorted by (length,
     entries).
 
     Generated by depth-first extension: every prefix of a typical sequence
     is typical, so extensions that create an applicable window operation
-    are pruned.  The search terminates on its own; ``_hard_cap`` is a
-    defensive bound (default 4k + 5) that raises if generation runs past
-    roughly twice the expected maximum length.
+    are pruned.  The search terminates on its own; a defensive cap of
+    4k + 5 raises if generation runs past roughly twice the expected
+    maximum length.
     """
     if k < 0:
         raise ValidationError("k must be nonnegative")
     if k > 6:
         raise ValidationError("enumeration limited to k <= 6")
-    cap = _hard_cap if _hard_cap is not None else 4 * k + 5
+    cap = 4 * k + 5
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 

@@ -76,7 +76,7 @@ class WidthCache:
         self._widths: dict[tuple, int] = {}
         self._evaluators: dict[tuple, tuple[Graph, CutEvaluator]] = {}
 
-    def width(self, g: Graph, sel: FamilySelector, limit: int = 15) -> int:
+    def width(self, g: Graph, sel: FamilySelector) -> int:
         gkey = g.key()
         key = (gkey, sel.families, sel.ntc)
         hit = self._widths.get(key)
@@ -85,7 +85,7 @@ class WidthCache:
             if rep is None:
                 rep = (g, CutEvaluator(g))
                 self._evaluators[gkey] = rep
-            hit = exact_branchwidth_dp(rep[0], sel, limit=limit, evaluator=rep[1])[0]
+            hit = exact_branchwidth_dp(rep[0], sel, evaluator=rep[1])[0]
             self._widths[key] = hit
         return hit
 

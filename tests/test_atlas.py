@@ -1,13 +1,15 @@
 import itertools
 
+import pytest
+
 from fbranch.atlas import (
     all_graph_classes,
     brute_force_graph_classes,
     connected_graph_classes,
     tree_classes,
 )
-from fbranch.canonical import are_isomorphic, canonical_form
-from fbranch.graph import Graph, is_connected
+from fbranch.canonical import canonical_form
+from fbranch.graph import Graph, connected_components
 
 
 def test_canonical_form_basic():
@@ -16,7 +18,6 @@ def test_canonical_form_basic():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert canonical_form(p3a) == canonical_form(p3b)
     assert canonical_form(p3a) != canonical_form(tri)
-    assert are_isomorphic(p3a, p3b) and not are_isomorphic(p3a, tri)
 
 
 def test_canonical_form_with_colors():
@@ -51,12 +52,13 @@ def test_connected_class_counts():
     # augmentation cross-check at 6 and 7
     expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n in range(1, 6):
-        brute = [g for g in brute_force_graph_classes(n) if is_connected(g)]
+        brute = [g for g in brute_force_graph_classes(n)
+                 if len(connected_components(g)) == 1]
         assert len(brute) == expected[n]
     for n in range(1, 8):
         classes = connected_graph_classes(n)
         assert len(classes) == expected[n]
-        assert all(is_connected(g) for g in classes)
+        assert all(len(connected_components(g)) == 1 for g in classes)
 
 
 def prufer_tree(n, seq):
@@ -91,6 +93,26 @@ def test_tree_classes_against_prufer():
 def test_subcubic_tree_classes():
     for n in range(1, 10):
         subcubic = tree_classes(n, max_degree=3)
-        assert all(t.max_degree() <= 3 for t in subcubic)
-        whole = [t for t in tree_classes(n) if t.max_degree() <= 3]
+        assert all(max(map(len, t.adj)) <= 3 for t in subcubic)
+        whole = [t for t in tree_classes(n) if max(map(len, t.adj)) <= 3]
         assert {canonical_form(t) for t in subcubic} == {canonical_form(t) for t in whole}
+
+
+def test_graph_classes_against_networkx_atlas():
+    # independent oracle: the atlas lists every graph on up to 7 vertices
+    # once per isomorphism class, nodes labelled 0..n-1
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, list] = {}
+    for h in nx.graph_atlas_g():
+        atlas.setdefault(h.number_of_nodes(), []).append(h)
+    counts = [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert [len(atlas[n]) for n in range(8)] == counts
+    for n in range(8):
+        classes = all_graph_classes(n)
+        assert len(classes) == counts[n]
+        forms = {canonical_form(g) for g in classes}
+        for h in atlas[n]:
+            assert canonical_form(Graph(n, h.edges())) in forms
+    connected = [sum(nx.is_connected(h) for h in atlas[n]) for n in range(1, 8)]
+    assert connected[-1] == 853
+    assert [len(connected_graph_classes(n)) for n in range(1, 8)] == connected

@@ -230,3 +230,21 @@ def test_undecodable_input_exit_code(tmp_path, capsys):
 def test_output_directory_exit_code(c6, tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--graph", str(c6), "--out", str(tmp_path))
     assert_one_error_line(code, err)
+
+
+def test_classify_pair_count_below_one_exit_code(tmp_path, capsys):
+    h = tmp_path / "h.txt"
+    for q in ("0", "-1"):
+        h.write_text(q + "\n")
+        code, out, err = run(capsys, "classify", "--in", str(h))
+        assert_one_error_line(code, err)
+        assert out == ""
+
+
+def test_solve_has_no_limit_option(c6, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0 and "--limit" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--graph", str(c6), "--limit", "30"])
+    assert exc.value.code == 2

@@ -9,7 +9,6 @@ from fbranch.cutfn import (
     CutEvaluator,
     FamilySelector,
     PatternWitness,
-    family_cut_value,
     family_value,
     generic_pattern_value,
     ntc_value,
@@ -100,23 +99,23 @@ def test_each_pattern_is_its_own_witness():
 
 def test_family_cut_value_examples():
     g = cycle(6)
-    n, w = family_cut_value(g, {0, 1, 2}, FamilySelector.of(Family.MATCH))
+    n, w = CutEvaluator(g).value_of({0, 1, 2}, FamilySelector.of(Family.MATCH))
     assert n == 2 and validate_witness(cut_graph(g, {0, 1, 2}), w)
 
     edgeless = Graph(6)
-    n, _ = family_cut_value(edgeless, {0, 1, 2}, ALL_FAMILIES)
+    n, _ = CutEvaluator(edgeless).value_of({0, 1, 2}, ALL_FAMILIES)
     assert n == 3  # EMPTY achieves it
 
     p2 = Graph(2, [(0, 1)])
-    n, _ = family_cut_value(p2, {0}, FamilySelector.of(Family.MATCH, Family.CHAIN))
+    n, _ = CutEvaluator(p2).value_of({0}, FamilySelector.of(Family.MATCH, Family.CHAIN))
     assert n == 1
 
 
 def test_family_cut_value_empty_side_is_zero():
     g = cycle(5)
     for sel in (ALL_FAMILIES, PRIMAL):
-        assert family_cut_value(g, set(), sel)[0] == 0
-        assert family_cut_value(g, set(range(5)), sel)[0] == 0
+        assert CutEvaluator(g).value_of(set(), sel)[0] == 0
+        assert CutEvaluator(g).value_of(set(range(5)), sel)[0] == 0
 
 
 def test_family_cut_value_symmetry_and_monotonicity():
@@ -128,10 +127,10 @@ def test_family_cut_value_symmetry_and_monotonicity():
         g = Graph(n, edges)
         xs = frozenset(v for v in range(n) if rng.random() < 0.5)
         ys = frozenset(range(n)) - xs
-        assert family_cut_value(g, xs, ALL_FAMILIES)[0] == family_cut_value(g, ys, ALL_FAMILIES)[0]
-        whole = family_cut_value(g, xs, ALL_FAMILIES)[0]
+        whole = CutEvaluator(g).value_of(xs, ALL_FAMILIES)[0]
+        assert whole == CutEvaluator(g).value_of(ys, ALL_FAMILIES)[0]
         for sel in singletons:
-            assert family_cut_value(g, xs, sel)[0] <= whole
+            assert CutEvaluator(g).value_of(xs, sel)[0] <= whole
 
 
 def test_chain_strict_within_one():
@@ -181,7 +180,7 @@ def test_ntc_dominates_primal_value():
         g = Graph(n, edges)
         for k in range(n + 1):
             xs = frozenset(rng.sample(range(n), k))
-            assert ntc_value(g, xs) >= family_cut_value(g, xs, PRIMAL)[0]
+            assert ntc_value(g, xs) >= CutEvaluator(g).value_of(xs, PRIMAL)[0]
 
 
 def test_generic_oracle_trivial_cases():
@@ -223,7 +222,8 @@ def test_cut_evaluator_caches_and_matches_direct():
     g = cycle(6)
     ev = CutEvaluator(g)
     for mask in range(1 << 6):
-        direct, _ = family_cut_value(g, [v for v in range(6) if mask >> v & 1], PRIMAL)
+        b = cut_graph(g, [v for v in range(6) if mask >> v & 1])
+        direct = max(family_value(b, f)[0] for f in PRIMAL.families)
         assert ev.value_of_mask(mask, PRIMAL)[0] == direct
     # X = {0,1,2} on C6: outside neighborhoods {5}, {}, {3} are all distinct
     assert ev.value_of({0, 1, 2}, FamilySelector.parse("ntc"))[0] == 3
@@ -238,7 +238,7 @@ def test_family_cut_value_witnesses_revalidate():
         xs = frozenset(v for v in range(n) if rng.random() < 0.5)
         b = cut_graph(g, xs)
         for sel in (ALL_FAMILIES, PRIMAL):
-            value, witness = family_cut_value(g, xs, sel)
+            value, witness = CutEvaluator(g).value_of(xs, sel)
             assert validate_witness(b, witness)
             assert witness.value == value
 

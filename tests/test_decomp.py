@@ -19,10 +19,14 @@ from fbranch.decomp import (
     is_balanced_edge,
     join_components,
     parse_decomposition,
-    restrict_tree,
     validate_decomposition,
 )
-from fbranch.errors import DecompositionError, SizeLimitError, ValidationError
+from fbranch.errors import (
+    DecompositionError,
+    MalformedLineError,
+    SizeLimitError,
+    ValidationError,
+)
 from fbranch.families import Family
 from fbranch.graph import Graph, exact_treewidth, induced_subgraph
 
@@ -241,34 +245,6 @@ def test_induced_subgraph_monotone():
         assert exact_branchwidth_dp(sub, ALL_FAMILIES)[0] <= whole
 
 
-def test_restrict_tree():
-    adj = {0: {1}, 1: {0, 2}, 2: {1}}
-    r, paths = restrict_tree(adj, {0, 2})
-    assert r == {0: {2}, 2: {0}}
-    assert paths[(0, 2)] == (0, 1, 2)
-
-    r, paths = restrict_tree(adj, {0, 1, 2})
-    assert r == adj and all(len(p) == 2 for p in paths.values())
-
-    star = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
-    r, _ = restrict_tree(star, {1, 2, 3})
-    assert r == star  # center kept: degree 3
-
-    with pytest.raises(ValueError):
-        restrict_tree(adj, set())
-
-
-def test_restrict_tree_prunes_outside():
-    # path 0-1-2-3-4, keep {1,3}: ends pruned, middle contracted
-    adj = {i: set() for i in range(5)}
-    for i in range(4):
-        adj[i].add(i + 1)
-        adj[i + 1].add(i)
-    r, paths = restrict_tree(adj, {1, 3})
-    assert r == {1: {3}, 3: {1}}
-    assert paths[(1, 3)] == (1, 2, 3)
-
-
 def test_find_balanced_edge_examples():
     two = {0: {1}, 1: {0}}
     assert find_balanced_edge(two, {0: 1, 1: 1}) == (0, 1)
@@ -346,6 +322,17 @@ def test_text_roundtrip():
     assert back.edges == bd.edges and back.leaf_map == bd.leaf_map
     d = decomposition_to_json_dict(bd)
     assert d["nodes"] == bd.num_nodes
+
+
+def test_parse_rejects_node_count_off_the_edge_lines():
+    # the node count is checked against the 't' lines before any per-node
+    # storage is built
+    for text in ("tree 5\nt 0 1\nleaf 0 0\nleaf 1 1\n",
+                 "tree 1\nt 0 1\n", "tree 3\n", "tree -1\n", "tree 0\nleaf 0 0\n"):
+        with pytest.raises(MalformedLineError):
+            parse_decomposition(text)
+    assert parse_decomposition("tree 0\n").num_nodes == 0
+    assert parse_decomposition("tree 1\nleaf 0 0\n").leaf_map == {0: 0}
 
 
 def test_dp_equals_enum_remaining_primal_pairs():

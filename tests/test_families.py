@@ -14,7 +14,6 @@ from fbranch.families import (
     parse_ordered_bipartite,
     pattern_edges,
     pattern_graph,
-    ramsey_upper_bound,
 )
 
 
@@ -141,9 +140,8 @@ def test_find_homogeneous_exhaustive_none():
 
 def test_find_homogeneous_always_succeeds_n1():
     rng = random.Random(5)
-    bound = ramsey_upper_bound([2, 2, 2, 2])
+    q = 5
     for _ in range(50):
-        q = bound
         edges = {(i, j) for i in range(q) for j in range(q) if rng.random() < 0.5}
         assert find_homogeneous_subset(obg(q, edges), 1) is not None
 
@@ -161,15 +159,6 @@ def test_find_homogeneous_against_exhaustive_search():
             assert (res is not None) == exists
             if res is not None:
                 assert res.family in classify_si(h.induced(res.pairs))
-
-
-def test_ramsey_upper_bound():
-    assert ramsey_upper_bound([2, 2]) == 3
-    assert ramsey_upper_bound([5]) == 5
-    assert ramsey_upper_bound([2, 2, 2]) == 4
-    assert ramsey_upper_bound([1, 7]) == 1
-    assert ramsey_upper_bound([3, 3]) == 10  # binom(5, 2), frozen by hand
-    assert ramsey_upper_bound([2, 2, 2, 2]) == 5
 
 
 def test_parse_ordered_bipartite():

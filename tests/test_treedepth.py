@@ -15,10 +15,8 @@ from fbranch.treedepth import (
     bound_f_star,
     bound_g,
     bound_h,
-    component_signature,
-    exact_treedepth,
+    _signature,
     prune_by_treedepth,
-    prune_duplicates,
     surrogate_threshold,
     treedepth_decomposition,
     TreedepthDecomposition,
@@ -81,13 +79,13 @@ def brute_force_treedepth(g):
 
 
 def test_treedepth_examples():
-    assert exact_treedepth(star(3)) == 2
-    assert exact_treedepth(Graph(3, [(0, 1), (1, 2), (0, 2)])) == 3
+    assert treedepth_decomposition(star(3)).height == 2
+    assert treedepth_decomposition(Graph(3, [(0, 1), (1, 2), (0, 2)])).height == 3
     # frozen from the recursion oracle; td(P_n) = ceil(log2(n+1))
     assert brute_force_treedepth(path(4)) == 3
-    assert exact_treedepth(path(4)) == 3
+    assert treedepth_decomposition(path(4)).height == 3
     for n in range(1, 8):
-        assert exact_treedepth(path(n)) == math.ceil(math.log2(n + 1))
+        assert treedepth_decomposition(path(n)).height == math.ceil(math.log2(n + 1))
 
 
 def test_treedepth_decomposition_valid():
@@ -114,7 +112,7 @@ def test_treedepth_limit():
 def test_component_signature_star_legs_equal():
     g = star(4)
     r = frozenset({0})
-    sigs = {component_signature(g, r, frozenset({v})) for v in range(1, 5)}
+    sigs = {_signature(g, r, frozenset({v})) for v in range(1, 5)}
     assert len(sigs) == 1
 
 
@@ -122,8 +120,8 @@ def test_component_signature_p2_legs():
     # two pendant 2-paths hanging off vertex 0 the same way
     g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
     r = frozenset({0})
-    s1 = component_signature(g, r, frozenset({1, 2}))
-    s2 = component_signature(g, r, frozenset({3, 4}))
+    s1 = _signature(g, r, frozenset({1, 2}))
+    s2 = _signature(g, r, frozenset({3, 4}))
     assert s1 == s2
 
 
@@ -131,20 +129,14 @@ def test_component_signature_gamma_matters():
     # same component graph (single vertex), different attachment
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
     r = frozenset({0, 1})
-    s2 = component_signature(g, r, frozenset({2}))  # attaches to 0
-    s3 = component_signature(g, r, frozenset({3}))  # attaches to 1
+    s2 = _signature(g, r, frozenset({2}))  # attaches to 0
+    s3 = _signature(g, r, frozenset({3}))  # attaches to 1
     assert s2 != s3
-
-
-def test_component_signature_rejects_non_component():
-    g = star(3)
-    with pytest.raises(ValueError):
-        component_signature(g, frozenset({0}), frozenset({1, 2}))
 
 
 def test_prune_duplicates_star():
     g = star(5)
-    out, record = prune_duplicates(g, frozenset({0}), 2)
+    out, record = prune_by_treedepth(g, threshold=2)
     assert out == star(2)
     assert record.removed_count() == 3
 
@@ -152,7 +144,7 @@ def test_prune_duplicates_star():
 def test_prune_duplicates_width_preserved_forests():
     for sel in PRIMAL_UNIONS:
         g = star(6)
-        out, _ = prune_duplicates(g, frozenset({0}), 2)
+        out, _ = prune_by_treedepth(g, threshold=2)
         assert exact_branchwidth_dp(g, sel)[0] == exact_branchwidth_dp(out, sel)[0] == 1
 
 
@@ -160,7 +152,7 @@ def test_prune_duplicates_distinct_signatures_unchanged():
     # components of g - {0}: a pendant vertex, a pendant 2-path, a triangle
     # handle; all signatures differ, so threshold 1 removes nothing
     g = Graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 0)])
-    out, record = prune_duplicates(g, frozenset({0}), 1)
+    out, record = prune_by_treedepth(g, threshold=1)
     assert record.removed_count() == 0 and out.n == 6
 
 
@@ -258,8 +250,7 @@ def test_prune_duplicates_never_increases_width():
     for _ in range(10):
         n = rng.randint(3, 8)
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
-        r = frozenset(rng.sample(range(n), rng.randint(1, 2)))
-        out, _ = prune_duplicates(g, r, 1)
+        out, _ = prune_by_treedepth(g, threshold=1)
         for sel in PRIMAL_UNIONS:
             before = exact_branchwidth_dp(g, sel)[0]
             after = exact_branchwidth_dp(out, sel)[0] if out.n else 0
