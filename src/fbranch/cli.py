@@ -74,8 +74,7 @@ def cmd_solve(args) -> int:
         width, bd = exact_branchwidth_enum(g, sel)
     else:
         width, bd = greedy_branchwidth(g, sel)
-    check = decomposition_width(bd, g, sel)
-    if args.solver != "greedy" and check.width != width:
+    if decomposition_width(bd, g, sel).width != width:
         raise FBranchError("internal: reported width does not re-evaluate")
     doc = {
         "schema": SCHEMA, "command": "solve", "solver": args.solver,

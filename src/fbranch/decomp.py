@@ -4,16 +4,18 @@ utilities.
 A branch decomposition of a graph is a subcubic tree whose leaves are
 mapped bijectively onto the graph's vertices; removing a tree edge splits
 the leaves, hence the vertices, into the cut evaluated by the cut function.
-The exact solvers are a full enumerator over leaf-labeled binary shapes and
-a subset-split dynamic program; they agree by construction on any symmetric
-cut function and cross-check each other in the test suite.
+Every solver describes its tree as a split hierarchy -- the vertex set
+split in two, each side split again down to single vertices -- and one
+builder turns that into a tree.  The exact solvers are a full enumerator
+over split hierarchies and a subset-split dynamic program; they agree by
+construction on any symmetric cut function and cross-check each other in
+the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness
 from .errors import DecompositionError, MalformedLineError, SizeLimitError, ValidationError
@@ -154,9 +156,42 @@ def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
 # enumeration of decomposition shapes
 
 
+def _hierarchies(n: int) -> Iterator[tuple[int, ...]]:
+    """Every unrooted leaf-labeled binary tree on the vertices 0..n-1, once
+    each: hung off vertex 0, a tree is a rooted binary hierarchy on 1..n-1,
+    given here by its cluster masks, which are exactly the tree's edge cuts
+    (the side away from vertex 0).  Vertex k is inserted above each node of
+    every hierarchy on 1..k-1; (2n-5)!! hierarchies for n >= 3."""
+
+    def grow(clusters: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+        if k >= n:
+            yield clusters
+            return
+        bit = 1 << k
+        for x in clusters:
+            # x and its ancestors are the clusters containing x: k joins
+            # them, and x stays below as the sibling of k
+            lifted = tuple(c | bit if c & x == x else c for c in clusters)
+            yield from grow(lifted + (x, bit), k + 1)
+
+    return grow((2,) if n >= 2 else (), 2)
+
+
+def _hierarchy_tree(n: int, clusters: tuple[int, ...]) -> BranchDecomposition:
+    """The decomposition of a hierarchy from ``_hierarchies``: the root edge
+    splits off vertex 0, and a cluster's larger proper subcluster is one of
+    its two children (the side holding its lowest vertex comes first)."""
+    split = {(1 << n) - 1: 1}
+    for s in clusters:
+        if s & (s - 1):
+            child = max((c for c in clusters if c != s and c & s == c), key=int.bit_count)
+            split[s] = child if child & s & -s else s ^ child
+    return _tree_from_splits(n, lambda m: (split[m], m ^ split[m]))
+
+
 def enumerate_decompositions(n: int) -> Iterator[BranchDecomposition]:
     """All leaf-labeled unrooted binary trees on leaves 0..n-1, each exactly
-    once, in a fixed insertion order; (2n-5)!! of them for n >= 3.
+    once, in a fixed order; (2n-5)!! of them for n >= 3.
 
     Leaves are the nodes 0..n-1 (mapped identically to vertices); internal
     nodes are n..2n-3.
@@ -164,44 +199,8 @@ def enumerate_decompositions(n: int) -> Iterator[BranchDecomposition]:
     if n > ENUM_MAX_N:
         raise SizeLimitError(
             f"decomposition enumeration limited to n <= {ENUM_MAX_N}, got {n}")
-    if n == 0:
-        yield BranchDecomposition(0, [], {})
-        return
-    if n == 1:
-        yield BranchDecomposition(1, [], {0: 0})
-        return
-    if n == 2:
-        yield BranchDecomposition(2, [(0, 1)], {0: 0, 1: 1})
-        return
-    leaf_map = {i: i for i in range(n)}
-
-    def insert(edges: list[tuple[int, int]], next_leaf: int) -> Iterator[list[tuple[int, int]]]:
-        if next_leaf == n:
-            yield edges
-            return
-        new_internal = n + next_leaf - 2
-        for i in range(len(edges)):
-            u, v = edges[i]
-            grown = edges[:i] + edges[i + 1:] + [
-                (u, new_internal), (v, new_internal), (next_leaf, new_internal)]
-            yield from insert(grown, next_leaf + 1)
-
-    star = [(0, n), (1, n), (2, n)]
-    for edges in insert(star, 3):
-        yield BranchDecomposition(2 * n - 2, edges, leaf_map)
-
-
-@lru_cache(maxsize=32)
-def _shape_cut_masks(n: int) -> tuple[tuple[tuple[int, ...], BranchDecomposition], ...]:
-    """For each enumerated shape: the leaf-set masks of all its edge cuts.
-    Shared by the enumeration solver across graphs of the same order."""
-    shapes = []
-    for bd in enumerate_decompositions(n):
-        masks = []
-        for e in bd.edges:
-            masks.append(mask_of(edge_cut(bd, e)))
-        shapes.append((tuple(masks), bd))
-    return tuple(shapes)
+    for clusters in _hierarchies(n):
+        yield _hierarchy_tree(n, clusters)
 
 
 def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
@@ -212,29 +211,26 @@ def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
     n = g.n
     if n > ENUM_MAX_N:
         raise SizeLimitError(f"enumeration solver limited to n <= {ENUM_MAX_N}, got {n}")
-    if n <= 2:
-        bd = next(enumerate_decompositions(n))
-        return (decomposition_width(bd, g, sel).width if n == 2 else 0), bd
     ev = evaluator if evaluator is not None else CutEvaluator(g)
-    # shapes touch nearly every subset, so precompute the whole value table
+    # a full scan touches nearly every subset, so precompute the whole
+    # value table
     vals = [0] * (1 << n)
     for m in range(1 << n):
         vals[m] = ev.value_of_mask(m, sel)[0]
+    # every shape cuts off each single vertex, so no width is below this;
+    # the first shape that reaches it is the first minimum
+    floor = max((vals[1 << v] for v in range(n)), default=0)
     best = None
-    best_bd = None
-    for masks, bd in _shape_cut_masks(n):
-        width = 0
-        for m in masks:
-            v = vals[m]
-            if v > width:
-                width = v
-            if best is not None and width >= best:
-                break
+    best_clusters: tuple[int, ...] = ()
+    for clusters in _hierarchies(n):
+        width = max(map(vals.__getitem__, clusters), default=0)
         if best is None or width < best:
             best = width
-            best_bd = bd
-    assert best is not None and best_bd is not None
-    return best, best_bd
+            best_clusters = clusters
+            if best <= floor:
+                break
+    assert best is not None
+    return best, _hierarchy_tree(n, best_clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +267,14 @@ def _tree_from_splits(n: int, split: Callable[[int], tuple[int, int]]
     return BranchDecomposition(next_internal, edges, {i: i for i in range(n)})
 
 
-def _dp_solve(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
-              ) -> tuple[int, BranchDecomposition]:
+def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
+               ) -> tuple[int, list[int]]:
     """Exact solver on the whole vertex set: best(S) is the minimum over
     unordered splits {S1, S2} of max(f(S1), f(S2), best(S1), best(S2)) with
     singleton base 0.  The best split of V is the root edge: f(S1) equals
-    f(S2) there, so best(V) already counts the root cut."""
+    f(S2) there, so best(V) already counts the root cut.  Returns best(V)
+    and, per subset S, the side S1 of its first best split (the side
+    holding S's lowest vertex)."""
     n = g.n
     full = (1 << n) - 1
 
@@ -319,14 +317,7 @@ def _dp_solve(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
         if best_val > vals[s]:
             combo[s] = best_val
 
-    return best[full], _tree_from_splits(n, lambda m: (split[m], m ^ split[m]))
-
-
-def _relabel(bd: BranchDecomposition, vertex_map: Sequence[int]) -> BranchDecomposition:
-    """Rewrite leaf targets through ``vertex_map`` (new local -> original)."""
-    return BranchDecomposition(
-        bd.num_nodes, bd.edges,
-        {leaf: vertex_map[v] for leaf, v in bd.leaf_map.items()})
+    return best[full], split
 
 
 def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
@@ -334,13 +325,15 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
                          ) -> tuple[int, BranchDecomposition]:
     """Exact minimum width and a witness decomposition.
 
-    Disconnected graphs are routed through their components and rejoined
-    when the selector is a union of the matching, chain and anti-matching
-    families; for those families a pattern never straddles two components
-    (the degenerate one-pair anti-matching is the only cross-component
-    pattern, and the rejoined decomposition stays optimal in that case
-    too, since then every cut of every decomposition pays for it).  Other
-    selectors run the dynamic program on the whole graph.
+    Disconnected graphs are routed through their components when the
+    selector is a union of the matching, chain and anti-matching families;
+    for those families a pattern never straddles two components (the
+    degenerate one-pair anti-matching is the only cross-component pattern,
+    and the composed decomposition stays optimal in that case too, since
+    then every cut of every decomposition pays for it).  The root splits
+    off the first component, the next node the second, and so on; inside a
+    component the tree follows that component's own dynamic program.
+    Other selectors run the dynamic program on the whole graph.
     """
     comps = connected_components(g)
     if len(comps) > 1 and sel.is_primal_union():
@@ -348,21 +341,37 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
             if len(comp) > DP_MAX_N:
                 raise SizeLimitError(
                     f"component of size {len(comp)} exceeds solver limit {DP_MAX_N}")
-        parts = []
+        split: dict[int, int] = {}
+        rest = (1 << g.n) - 1
         for comp in comps:
             sub, remap = induced_subgraph(g, comp)
-            _, bd = exact_branchwidth_dp(sub, sel)
-            parts.append(_relabel(bd, remap))
-        joined = parts[0]
-        for nxt in parts[1:]:
-            joined = join_components(joined, nxt)
+            _, local = _dp_splits(sub, sel, CutEvaluator(sub))
+            # copy the component's reachable splits into global vertex bits
+            stack = [(1 << sub.n) - 1]
+            while stack:
+                m = stack.pop()
+                if m & (m - 1):
+                    s1 = local[m]
+                    split[_global_mask(m, remap)] = _global_mask(s1, remap)
+                    stack += (s1, m ^ s1)
+            cmask = mask_of(comp)
+            if rest != cmask:
+                split[rest] = cmask
+                rest ^= cmask
+        bd = _tree_from_splits(g.n, lambda m: (split[m], m ^ split[m]))
         ev = evaluator if evaluator is not None else CutEvaluator(g)
-        width = decomposition_width(joined, g, sel, evaluator=ev).width
-        return width, joined
+        return decomposition_width(bd, g, sel, evaluator=ev).width, bd
     if g.n > DP_MAX_N:
         raise SizeLimitError(f"dynamic program limited to n <= {DP_MAX_N}, got {g.n}")
     ev = evaluator if evaluator is not None else CutEvaluator(g)
-    return _dp_solve(g, sel, ev)
+    width, split_of = _dp_splits(g, sel, ev)
+    return width, _tree_from_splits(g.n, lambda m: (split_of[m], m ^ split_of[m]))
+
+
+def _global_mask(m: int, remap: tuple[int, ...]) -> int:
+    """A subgraph's vertex mask in the parent graph's bits (``remap``: new
+    local -> original)."""
+    return mask_of(v for i, v in enumerate(remap) if m >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,46 +468,6 @@ def is_balanced_edge(adjacency, weights, edge, alpha: float = 1 / 3) -> bool:
     total = sum(weights.get(v, 0) for v in adjacency)
     side = _side_weight(adjacency, weights, edge[0], edge[1])
     return alpha * total <= side <= (1 - alpha) * total
-
-
-def join_components(bd1: BranchDecomposition, bd2: BranchDecomposition
-                    ) -> BranchDecomposition:
-    """Decomposition of the disjoint union: subdivide an edge of each part
-    (or use the bare node of a one-leaf part) and bridge the two points.
-
-    For selectors drawn from the matching and chain families the bridge cut
-    crosses no edge and has value 0; a selected anti-matching family sees
-    the degenerate one-pair pattern across the bridge, value 1.
-    """
-    verts1 = set(bd1.leaf_map.values())
-    verts2 = set(bd2.leaf_map.values())
-    if verts1 & verts2:
-        raise ValueError("components must have disjoint vertex sets")
-    if not verts1 or not verts2:
-        raise ValueError("both parts must be nonempty")
-    offset = bd1.num_nodes
-    edges = list(bd1.edges)
-    edges.extend((u + offset, v + offset) for u, v in bd2.edges)
-    leaf_map = dict(bd1.leaf_map)
-    leaf_map.update({node + offset: v for node, v in bd2.leaf_map.items()})
-    total = bd1.num_nodes + bd2.num_nodes
-
-    def attach_point(bd: BranchDecomposition, shift: int) -> int:
-        nonlocal total, edges
-        if not bd.edges:  # single-node part: the node itself is the hook
-            return shift
-        u, v = bd.edges[0]
-        w = total
-        total += 1
-        edges.remove((u + shift, v + shift))
-        edges.append((u + shift, w))
-        edges.append((v + shift, w))
-        return w
-
-    w1 = attach_point(bd1, 0)
-    w2 = attach_point(bd2, offset)
-    edges.append((w1, w2))
-    return BranchDecomposition(total, edges, leaf_map)
 
 
 # ---------------------------------------------------------------------------

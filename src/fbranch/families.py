@@ -59,6 +59,13 @@ def pattern_has_edge(family: Family, i: int, j: int) -> bool:
     return True  # COMPLETE
 
 
+def _pattern_size(family: Family, q: int) -> int:
+    """Edge count of the family's size-q pattern."""
+    return {Family.EMPTY: 0, Family.MATCH: q, Family.CHAIN: q * (q + 1) // 2,
+            Family.CHAINSTRICT: q * (q - 1) // 2, Family.ANTIMATCH: q * q - q,
+            Family.COMPLETE: q * q}[family]
+
+
 def pattern_edges(family: Family, q: int) -> frozenset[tuple[int, int]]:
     return frozenset((i, j) for i in range(q) for j in range(q)
                      if pattern_has_edge(family, i, j))
@@ -135,8 +142,11 @@ def parse_ordered_bipartite(text: str) -> OrderedBipartiteGraph:
 
 
 def matches_pattern_exactly(h: OrderedBipartiteGraph, family: Family) -> bool:
-    """Whether h equals the family's pattern under the given pair order."""
-    return h.edges == pattern_edges(family, h.q)
+    """Whether h equals the family's pattern under the given pair order:
+    as many edges as the pattern, each of them a pattern edge (linear in
+    the edges, never building the q * q cells)."""
+    return (len(h.edges) == _pattern_size(family, h.q)
+            and all(pattern_has_edge(family, i, j) for i, j in h.edges))
 
 
 def classify_si(h: OrderedBipartiteGraph) -> tuple[Family, ...]:
@@ -164,8 +174,8 @@ def classify_si(h: OrderedBipartiteGraph) -> tuple[Family, ...]:
 
 def _matches_chain(h: OrderedBipartiteGraph, strict: bool) -> bool:
     q = h.q
-    want = q * (q - 1) // 2 + (0 if strict else q)
-    if len(h.edges) != want:
+    family = Family.CHAINSTRICT if strict else Family.CHAIN
+    if len(h.edges) != _pattern_size(family, q):
         return False
     # degrees force the order: a-side degree of the pair at chain position k
     # is q - k (non-strict) or q - 1 - k (strict), all distinct
@@ -181,12 +191,8 @@ def _matches_chain(h: OrderedBipartiteGraph, strict: bool) -> bool:
             return False
         seen.add(k)
         pos[p] = k
-    for i in range(q):
-        for j in range(q):
-            expect = pos[i] <= pos[j] if not strict else pos[i] < pos[j]
-            if ((i, j) in h.edges) != expect:
-                return False
-    return True
+    # with the edge count already equal, no pattern edge can be missing
+    return all(pattern_has_edge(family, pos[i], pos[j]) for i, j in h.edges)
 
 
 def pair_color(h: OrderedBipartiteGraph, i: int, j: int) -> int:

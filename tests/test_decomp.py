@@ -6,6 +6,7 @@ import pytest
 from fbranch.atlas import connected_graph_classes, tree_classes
 from fbranch.cutfn import ALL_FAMILIES, PRIMAL, CutEvaluator, FamilySelector
 from fbranch.decomp import (
+    DP_MAX_N,
     BranchDecomposition,
     decomposition_to_json_dict,
     decomposition_to_text,
@@ -17,7 +18,6 @@ from fbranch.decomp import (
     find_balanced_edge,
     greedy_branchwidth,
     is_balanced_edge,
-    join_components,
     parse_decomposition,
     validate_decomposition,
 )
@@ -28,7 +28,8 @@ from fbranch.errors import (
     ValidationError,
 )
 from fbranch.families import Family
-from fbranch.graph import Graph, exact_treewidth, induced_subgraph
+from fbranch.graph import Graph, connected_components, exact_treewidth, induced_subgraph, mask_of
+from fbranch.verify import component_law_expected
 
 MATCH = FamilySelector.of(Family.MATCH)
 CHAIN = FamilySelector.of(Family.CHAIN)
@@ -272,31 +273,57 @@ def test_find_balanced_edge_leaf_markings_exhaustive():
                 assert is_balanced_edge(adj, w, e), (tree, marked)
 
 
-def test_join_components():
-    k2a = BranchDecomposition(2, [(0, 1)], {0: 0, 1: 1})
-    k2b = BranchDecomposition(2, [(0, 1)], {0: 2, 1: 3})
-    joined = join_components(k2a, k2b)
-    g = Graph(4, [(0, 1), (2, 3)])
-    validate_decomposition(joined, g)
-    rep = decomposition_width(joined, g, MATCH)
-    assert rep.width == 1
+def _insertion_shapes(n):
+    """Reference enumerator for n >= 3: grow the three-leaf star by
+    subdividing every edge with leaf 3, then leaf 4, and so on."""
+    def insert(edges, next_leaf):
+        if next_leaf == n:
+            yield edges
+            return
+        new_internal = n + next_leaf - 2
+        for i, (u, v) in enumerate(edges):
+            grown = edges[:i] + edges[i + 1:] + [
+                (u, new_internal), (v, new_internal), (next_leaf, new_internal)]
+            yield from insert(grown, next_leaf + 1)
 
-    # bridge cut is the whole-component bipartition: value 0 for match/chain
-    for sel in (MATCH, CHAIN, FamilySelector.of(Family.MATCH, Family.CHAIN)):
-        rep = decomposition_width(joined, g, sel)
-        bridge_values = [v for e, (v, _) in rep.per_edge.items()
-                         if edge_cut(joined, e) in ({0, 1}, {2, 3})]
-        assert bridge_values and all(v == 0 for v in bridge_values)
-
-    single = BranchDecomposition(1, [], {0: 4})
-    bigger = join_components(joined, single)
-    validate_decomposition(bigger, Graph(5, [(0, 1), (2, 3)]))
-
-    with pytest.raises(ValueError):
-        join_components(k2a, BranchDecomposition(2, [(0, 1)], {0: 1, 1: 2}))
+    for edges in insert([(0, n), (1, n), (2, n)], 3):
+        yield BranchDecomposition(2 * n - 2, edges, {i: i for i in range(n)})
 
 
-def test_join_width_is_max_of_parts_for_match_chain():
+def _cut_key(bd, n):
+    """A shape's identity: its edge cuts, each as the numerically smaller
+    of its two vertex masks."""
+    full = (1 << n) - 1
+    masks = (mask_of(edge_cut(bd, e)) for e in bd.edges)
+    return frozenset(min(m, full ^ m) for m in masks)
+
+
+def test_hierarchy_enumerator_matches_insertion_enumerator():
+    for n in range(3, 8):
+        new = [_cut_key(bd, n) for bd in enumerate_decompositions(n)]
+        old = [_cut_key(bd, n) for bd in _insertion_shapes(n)]
+        assert len(set(new)) == len(new) == len(old)
+        assert set(new) == set(old)
+
+
+def test_dp_tree_of_disjoint_union_bridges_whole_components():
+    # some tree edge cuts a union of whole components; it has value 0 for
+    # match and chain
+    for g in (Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (2, 3)])):
+        comps = [frozenset(c) for c in connected_components(g)]
+        unions = {frozenset().union(*sub) for r in range(1, len(comps))
+                  for sub in itertools.combinations(comps, r)}
+        for sel in (MATCH, CHAIN, FamilySelector.of(Family.MATCH, Family.CHAIN)):
+            w, bd = exact_branchwidth_dp(g, sel)
+            validate_decomposition(bd, g)
+            rep = decomposition_width(bd, g, sel)
+            assert w == rep.width == 1
+            bridge_values = [v for e, (v, _) in rep.per_edge.items()
+                             if edge_cut(bd, e) in unions]
+            assert bridge_values and all(v == 0 for v in bridge_values)
+
+
+def test_disjoint_union_width_is_max_of_parts_for_match_chain():
     rng = random.Random(13)
     for _ in range(10):
         n1, n2 = rng.randint(2, 4), rng.randint(2, 4)
@@ -304,15 +331,32 @@ def test_join_width_is_max_of_parts_for_match_chain():
         g2 = Graph(n2, [e for e in itertools.combinations(range(n2), 2) if rng.random() < 0.7])
         g = Graph(n1 + n2, list(g1.edges()) + [(u + n1, v + n1) for u, v in g2.edges()])
         sel = FamilySelector.of(Family.MATCH, Family.CHAIN)
-        w1, bd1 = exact_branchwidth_dp(g1, sel)
-        w2, bd2 = exact_branchwidth_dp(g2, sel)
-        joined = join_components(bd1, _shift_leaves(bd2, n1))
-        assert decomposition_width(joined, g, sel).width == max(w1, w2)
+        w1, _ = exact_branchwidth_dp(g1, sel)
+        w2, _ = exact_branchwidth_dp(g2, sel)
+        w, bd = exact_branchwidth_dp(g, sel)
+        assert w == decomposition_width(bd, g, sel).width == max(w1, w2)
 
 
-def _shift_leaves(bd, offset):
-    return BranchDecomposition(bd.num_nodes, bd.edges,
-                               {leaf: v + offset for leaf, v in bd.leaf_map.items()})
+def test_dp_solves_disconnected_graph_beyond_size_limit():
+    rng = random.Random(17)
+    sizes = (9, 7, 1, 5)
+    edges, offset = [], 0
+    for size in sizes:
+        edges += [(offset + i, offset + i + 1) for i in range(size - 1)]
+        edges += [(offset + u, offset + v) for u, v in itertools.combinations(range(size), 2)
+                  if v > u + 1 and rng.random() < 0.4]
+        offset += size
+    g = Graph(offset, edges)
+    assert g.n > DP_MAX_N
+    comps = connected_components(g)
+    assert sorted(map(len, comps)) == sorted(sizes)
+    with pytest.raises(SizeLimitError):
+        exact_branchwidth_dp(g, ALL_FAMILIES)
+    for sel in (MATCH, ANTIMATCH, PRIMAL):
+        w, bd = exact_branchwidth_dp(g, sel)
+        validate_decomposition(bd, g)
+        parts = [exact_branchwidth_dp(induced_subgraph(g, c)[0], sel)[0] for c in comps]
+        assert w == component_law_expected(g, parts, sel) == decomposition_width(bd, g, sel).width
 
 
 def test_text_roundtrip():

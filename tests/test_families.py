@@ -172,3 +172,23 @@ def test_parse_ordered_bipartite():
 def test_matches_pattern_exactly():
     assert matches_pattern_exactly(pattern_graph(Family.CHAIN, 3), Family.CHAIN)
     assert not matches_pattern_exactly(pattern_graph(Family.CHAIN, 3), Family.COMPLETE)
+
+
+def test_classify_is_linear_in_the_edges(monkeypatch):
+    # a large pair count with few edges must not visit the q * q cells of
+    # the family patterns
+    import fbranch.families as families
+    q = 2000
+    calls = 0
+    real = families.pattern_has_edge
+
+    def counted(family, i, j):
+        nonlocal calls
+        calls += 1
+        assert calls <= 4 * q, "pattern cells visited beyond the input's edges"
+        return real(family, i, j)
+
+    monkeypatch.setattr(families, "pattern_has_edge", counted)
+    assert classify_si(obg(q, [])) == (Family.EMPTY,)
+    assert classify_si(obg(q, [(i, i) for i in range(q)])) == (Family.MATCH,)
+    assert classify_si(obg(q, [(i, i) for i in range(q - 1)])) == ()
