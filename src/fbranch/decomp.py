@@ -7,9 +7,9 @@ the leaves, hence the vertices, into the cut evaluated by the cut function.
 Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
 builder turns that into a tree.  The exact solvers are a full enumerator
-over split hierarchies and a subset-split dynamic program; they agree by
-construction on any symmetric cut function and cross-check each other in
-the test suite.
+over split hierarchies and a subset-split dynamic program (searched top
+down with branch and bound); they agree by construction on any symmetric
+cut function and cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import DecompositionError, MalformedLineError, SizeLimitError, Vali
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
-DP_MAX_N = 15  # 2^n-entry tables and 3^n splits
+DP_MAX_N = 15  # 2^n-entry tables; 3^n / 2 split visits at worst
 
 
 class BranchDecomposition:
@@ -273,51 +273,52 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     unordered splits {S1, S2} of max(f(S1), f(S2), best(S1), best(S2)) with
     singleton base 0.  The best split of V is the root edge: f(S1) equals
     f(S2) there, so best(V) already counts the root cut.  Returns best(V)
-    and, per subset S, the side S1 of its first best split (the side
-    holding S's lowest vertex)."""
-    n = g.n
-    full = (1 << n) - 1
+    and, for every subset S the tree reaches, the side S1 of its first best
+    split (the side holding S's lowest vertex).  Searched top down with
+    branch and bound: solve(S, bound) is best(S) if below bound, else a
+    lower bound >= bound; 3^n / 2 split visits at worst."""
+    full = (1 << g.n) - 1
 
-    # the recursion touches every subset, so build the whole value table
-    # up front; vals is symmetric (vals[m] == vals[full ^ m])
+    # the whole value table up front; symmetric: vals[m] == vals[full ^ m]
     value_of_mask = evaluator.value_of_mask
-    vals = [0] * (full + 1)
-    for m in range(full + 1):
-        vals[m] = value_of_mask(m, sel)[0]
-
-    # combo[m] = max(best[m], vals[m]): the worst cut in or above a rooted
-    # subtree with leaf set m, finalized before any superset reads it
-    best = [0] * (full + 1)
+    vals = [value_of_mask(m, sel)[0] for m in range(full + 1)]
     split = [0] * (full + 1)
-    combo = list(vals)
-    for s in range(3, full + 1):
-        if s & (s - 1) == 0:
-            continue  # singleton
-        low = s & -s
-        rest = s ^ low
-        best_val = None
-        best_s1 = 0
+
+    # low[m] is a lower bound on best(m), exact once split[m] is set; a
+    # rooted tree on m cuts off each vertex of m, hence the start value
+    low = [0] * (full + 1)
+    for m in range(1, full + 1):
+        low[m] = max(low[m & (m - 1)], vals[m & -m])
+
+    def solve(s: int, bound: int) -> int:
+        lo = low[s]
+        if split[s] or lo >= bound:
+            return lo
+        bit = s & -s
+        rest = s ^ bit
+        inc = bound
         # submasks t of rest ascending (t == rest excluded: s2 would be
-        # empty); s1 = low | t keeps the splits unordered
+        # empty); s1 = bit | t keeps the splits unordered
         t = 0
         while t != rest:
-            s1 = low | t
+            s1 = bit | t
             s2 = s ^ s1
-            val = combo[s1]
-            v2 = combo[s2]
-            if v2 > val:
-                val = v2
-            if best_val is None or val < best_val:
-                best_val = val
-                best_s1 = s1
+            if vals[s1] < inc and vals[s2] < inc:
+                val = max(vals[s1], vals[s2])
+                if s1 & (s1 - 1):
+                    val = max(val, solve(s1, inc))
+                if val < inc and s2 & (s2 - 1):
+                    val = max(val, solve(s2, inc))
+                if val < inc:
+                    inc = val
+                    split[s] = s1
+                    if inc <= lo:
+                        break
             t = (t - rest) & rest
-        assert best_val is not None
-        best[s] = best_val
-        split[s] = best_s1
-        if best_val > vals[s]:
-            combo[s] = best_val
+        low[s] = inc
+        return inc
 
-    return best[full], split
+    return (solve(full, max(vals) + 1) if g.n > 1 else 0), split
 
 
 def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
@@ -335,6 +336,7 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
     component the tree follows that component's own dynamic program.
     Other selectors run the dynamic program on the whole graph.
     """
+    ev = evaluator if evaluator is not None else CutEvaluator(g)
     comps = connected_components(g)
     if len(comps) > 1 and sel.is_primal_union():
         for comp in comps:
@@ -359,11 +361,9 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
                 split[rest] = cmask
                 rest ^= cmask
         bd = _tree_from_splits(g.n, lambda m: (split[m], m ^ split[m]))
-        ev = evaluator if evaluator is not None else CutEvaluator(g)
         return decomposition_width(bd, g, sel, evaluator=ev).width, bd
     if g.n > DP_MAX_N:
         raise SizeLimitError(f"dynamic program limited to n <= {DP_MAX_N}, got {g.n}")
-    ev = evaluator if evaluator is not None else CutEvaluator(g)
     width, split_of = _dp_splits(g, sel, ev)
     return width, _tree_from_splits(g.n, lambda m: (split_of[m], m ^ split_of[m]))
 

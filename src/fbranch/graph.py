@@ -17,6 +17,8 @@ from .errors import (
     VertexRangeError,
 )
 
+GRAPH_MAX_N = 100_000  # parse_graph's vertex limit; the largest inputs in use have 2,000
+
 
 class Graph:
     """Simple undirected graph: vertex count plus symmetric adjacency sets."""
@@ -81,6 +83,9 @@ def parse_graph(text: str) -> Graph:
         raise MalformedLineError(f"header must be two integers, got {lines[0]!r}")
     if n < 0 or m < 0:
         raise MalformedLineError("header counts must be nonnegative")
+    # checked before the graph is built: it holds one set per vertex
+    if n > GRAPH_MAX_N:
+        raise MalformedLineError(f"vertex count {n} exceeds the limit {GRAPH_MAX_N}")
     if len(lines) - 1 != m:
         raise MalformedLineError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

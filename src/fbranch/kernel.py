@@ -99,11 +99,34 @@ class KernelTrace:
 
     def replay(self) -> Graph:
         """Re-apply every recorded step to the input; must reproduce the
-        final graph exactly."""
+        final graph exactly.  One adjacency keyed by input vertex ids is
+        edited in place, live[i] is the input id of label i, and the graph
+        is built once, at the end (folding ``apply_step`` is quadratic)."""
         g = self.input_graph
+        adj = [set(s) for s in g.adj]
+        live = list(range(g.n))
         for step in self.steps:
-            g = apply_step(g, step)
-        return g
+            if isinstance(step, RuleOneStep):
+                for u, v in step.removed_bridges:
+                    adj[live[u]].discard(live[v])
+                    adj[live[v]].discard(live[u])
+                covered = set(step.vertex_map) | set(step.removed_vertices)
+                if not covered.issuperset(range(len(live))):
+                    raise InternalInvariantError(
+                        "rule-one step neither keeps nor removes some vertex")
+                live = [live[i] for i in step.vertex_map]
+            else:
+                a, b = step.contracted_edge
+                keep, drop = live[min(a, b)], live[max(a, b)]
+                for w in adj[drop]:
+                    adj[w].discard(drop)
+                    if w != keep:
+                        adj[w].add(keep)
+                        adj[keep].add(w)
+                del live[max(a, b)]
+        index = {v: i for i, v in enumerate(live)}
+        return Graph(len(live), [(index[u], index[w]) for u in live for w in adj[u]
+                                 if index[u] < index[w]])
 
     def to_json_dict(self) -> dict:
         return {

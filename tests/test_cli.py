@@ -6,7 +6,7 @@ import fbranch.cutfn
 from fbranch.cli import main
 from fbranch.decomp import parse_decomposition, decomposition_width, validate_decomposition
 from fbranch.cutfn import FamilySelector
-from fbranch.graph import parse_graph
+from fbranch.graph import GRAPH_MAX_N, parse_graph
 
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
 P4 = "4 3\n0 1\n1 2\n2 3\n"
@@ -248,3 +248,13 @@ def test_solve_has_no_limit_option(c6, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--graph", str(c6), "--limit", "30"])
     assert exc.value.code == 2
+
+
+def test_graph_header_over_vertex_limit_exit_code(tmp_path, capsys):
+    # rejected before any per-vertex allocation; the limit itself parses
+    big = tmp_path / "big.txt"
+    big.write_text(f"{GRAPH_MAX_N + 1} 0\n")
+    code, out, err = run(capsys, "kernelize", "--in", str(big))
+    assert_one_error_line(code, err)
+    assert out == "" and str(GRAPH_MAX_N) in err
+    assert parse_graph(f"{GRAPH_MAX_N} 0\n").n == GRAPH_MAX_N

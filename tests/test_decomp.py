@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from fbranch.atlas import connected_graph_classes, tree_classes
+from fbranch import decomp
+from fbranch.atlas import all_graph_classes, connected_graph_classes, tree_classes
 from fbranch.cutfn import ALL_FAMILIES, PRIMAL, CutEvaluator, FamilySelector
 from fbranch.decomp import (
     DP_MAX_N,
@@ -304,6 +305,62 @@ def test_hierarchy_enumerator_matches_insertion_enumerator():
         old = [_cut_key(bd, n) for bd in _insertion_shapes(n)]
         assert len(set(new)) == len(new) == len(old)
         assert set(new) == set(old)
+
+
+def _bottom_up_splits(g, sel, evaluator):
+    """Reference subset DP: fill best(S) for every subset S in ascending
+    order by scanning all of its splits, about 3^n / 2 of them in all.
+    combo[m] = max(best[m], f(m)) is the worst cut in or above a rooted
+    subtree with leaf set m; split[S] is the side S1 (holding S's lowest
+    vertex) of S's first best split."""
+    full = (1 << g.n) - 1
+    vals = [evaluator.value_of_mask(m, sel)[0] for m in range(full + 1)]
+    best = [0] * (full + 1)
+    split = [0] * (full + 1)
+    combo = list(vals)
+    for s in range(3, full + 1):
+        if s & (s - 1) == 0:
+            continue
+        low = s & -s
+        rest = s ^ low
+        best_val = None
+        t = 0
+        while t != rest:
+            s1 = low | t
+            val = max(combo[s1], combo[s ^ s1])
+            if best_val is None or val < best_val:
+                best_val = val
+                split[s] = s1
+            t = (t - rest) & rest
+        best[s] = best_val
+        combo[s] = max(vals[s], best_val)
+    return best[full], split
+
+
+def _oracle_cases():
+    families = [FamilySelector.of(f) for f in Family]
+    selectors = families + [PRIMAL, ALL_FAMILIES, FamilySelector.parse("ntc")]
+    for n in range(7):
+        for g in all_graph_classes(n):
+            for sel in selectors:
+                yield g, sel
+    rng = random.Random(8)
+    for i in range(24):
+        n = 8 + i % 5
+        p = 0.05 + 0.85 * i / 23
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        yield g, selectors[i % len(selectors)]
+
+
+def test_dp_matches_bottom_up_oracle(monkeypatch):
+    cases = list(_oracle_cases())
+    assert len(cases) == 209 * 9 + 24
+    got = [exact_branchwidth_dp(g, sel) for g, sel in cases]
+    monkeypatch.setattr(decomp, "_dp_splits", _bottom_up_splits)
+    expected = [exact_branchwidth_dp(g, sel) for g, sel in cases]
+    for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
+        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
+            (g, sel.name())
 
 
 def test_dp_tree_of_disjoint_union_bridges_whole_components():

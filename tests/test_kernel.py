@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from fbranch.kernel import (
     ContractionStep,
     KernelTrace,
     UnimportantPath,
+    apply_step,
     contract_path_edge,
     feedback_edge_set,
     find_unimportant_path,
@@ -286,6 +289,26 @@ def test_kernel_sweep_matches_stepwise_loop():
         assert trace.final_graph == expected.final_graph
         assert trace.to_json_dict() == expected.to_json_dict()
         assert trace.replay() == trace.final_graph
+
+
+def _timing_input():
+    """The seeded 2,000-vertex theta graph of tests/kernel_timing.py, from
+    the benchmark's generators (loaded by path: perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(0)
+    return Graph(2000, workloads.relabel(rng, 2000, workloads.theta_graph(rng, 2000, 2)))
+
+
+def test_replay_equals_folding_apply_step():
+    for g in [_timing_input(), *_oracle_inputs()]:
+        trace = kernelize_fes(g)
+        folded = g
+        for step in trace.steps:
+            folded = apply_step(folded, step)
+        assert trace.replay() == folded == trace.final_graph
 
 
 def test_kernel_subdivided_k4_stalls_in_both():
