@@ -1,0 +1,6 @@
+"""``python -m fbranch``: the command-line front end."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -8,14 +8,23 @@ biclique, chain) give MATCH, COMPLETE and CHAIN; the other three families
 are the same searches on the bipartite complement, read in reverse pattern
 order (EMPTY = COMPLETE, ANTIMATCH = MATCH, CHAINSTRICT = CHAIN of the
 complement).  Every search extends in ascending vertex order, so the
-returned witness is reproducible.  ``generic_pattern_value`` is the
-independent oracle: a plain exhaustive search over ordered partner
-selections that shares nothing with the engine (no complement tricks, no
-incumbent pruning).
+returned witness is reproducible.
+
+A search may be capped: it stops as soon as its best pattern has ``cap``
+pairs.  A capped result below the cap is exact, and its witness is the
+uncapped one (the search never stopped, so it took the same path); a result
+at the cap is only a lower bound.  The solvers ask only whether a cut is
+below their incumbent width, so ``CutEvaluator.value_below`` passes the
+incumbent as the cap and remembers which of its answers are exact.
+
+``generic_pattern_value`` is the independent oracle: a plain exhaustive
+search over ordered partner selections that shares nothing with the engine
+(no complement tricks, no incumbent pruning).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -141,10 +150,15 @@ def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
     return witness.family in classify_si(witness_graph(b, witness))
 
 
-# The three searches return the best partner pairs (x, y) in pattern order.
+# The three searches return the best partner pairs (x, y) in pattern order;
+# each stops, by raising _Capped, once its best pattern has ``cap`` pairs.
 
 
-def _matching(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
+class _Capped(Exception):
+    pass
+
+
+def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     """Largest induced matching: x_i adjacent to y_j exactly when i == j.
     A chosen pair (x, y) drops y's neighbours from the x candidates and x's
     from the y candidates; x extends in ascending order, so every matching
@@ -158,6 +172,8 @@ def _matching(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
         depth = len(pairs)
         if depth > len(best):
             best = tuple(pairs)
+            if depth >= cap:
+                raise _Capped
         while cand_x and depth + min(cand_x.bit_count(), cand_y.bit_count()) > len(best):
             bit = cand_x & -cand_x
             cand_x ^= bit
@@ -171,11 +187,14 @@ def _matching(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
                 extend(cand_x & ~nbr[y], cand_y & ~nbr[x])
                 pairs.pop()
 
-    extend(b.x_mask, b.y_mask)
+    try:
+        extend(b.x_mask, b.y_mask)
+    except _Capped:
+        pass
     return best
 
 
-def _biclique(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
+def _biclique(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     """Largest balanced complete pattern: max over X-subsets A of
     min(|A|, |common neighbourhood of A|), A grown in ascending order."""
     nbr = b.nbr
@@ -188,6 +207,8 @@ def _biclique(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
         if value > len(best):
             ys = [bit.bit_length() - 1 for bit in _iter_bits(common)]
             best = tuple(zip(chosen[:value], ys[:value]))
+            if value >= cap:
+                raise _Capped
         while (cand_x and common.bit_count() > len(best)
                and len(chosen) + cand_x.bit_count() > len(best)):
             bit = cand_x & -cand_x
@@ -199,11 +220,14 @@ def _biclique(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
                 extend(cand_x, nxt)
                 chosen.pop()
 
-    extend(b.x_mask, b.y_mask)
+    try:
+        extend(b.x_mask, b.y_mask)
+    except _Capped:
+        pass
     return best
 
 
-def _chain(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
+def _chain(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     """Longest chain: x_i adjacent to y_j exactly when i <= j, built pair by
     pair in pattern order.  A new x must miss every chosen y; a new y must
     hit every chosen x (its own partner included).  The bound is depth plus
@@ -217,6 +241,8 @@ def _chain(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
         depth = len(pairs)
         if depth > len(best):
             best = tuple(pairs)
+            if depth >= cap:
+                raise _Capped
         room = depth + min(cand_x.bit_count(), cand_y.bit_count())
         xs = cand_x
         while xs and room > len(best):
@@ -232,7 +258,10 @@ def _chain(b: BipartiteCutGraph) -> tuple[tuple[int, int], ...]:
                 extend((cand_x ^ bit) & ~nbr[y], (cand_y ^ y_bit) & nbr[x])
                 pairs.pop()
 
-    extend(b.x_mask, b.y_mask)
+    try:
+        extend(b.x_mask, b.y_mask)
+    except _Capped:
+        pass
     return best
 
 
@@ -249,10 +278,13 @@ _SEARCHES = {
 }
 
 
-def family_value(b: BipartiteCutGraph, family: Family) -> tuple[int, PatternWitness]:
-    """Largest pattern of ``family`` across the cut, with its witness."""
+def family_value(b: BipartiteCutGraph, family: Family, cap: float = math.inf
+                 ) -> tuple[int, PatternWitness]:
+    """Largest pattern of ``family`` across the cut, with its witness; a
+    value at or above ``cap`` is only a lower bound (see the module
+    docstring)."""
     search, complemented = _SEARCHES[family]
-    pairs = search(b.complement())[::-1] if complemented else search(b)
+    pairs = search(b.complement(), cap)[::-1] if complemented else search(b, cap)
     if not pairs:
         return 0, EMPTY_WITNESS
     return len(pairs), PatternWitness(family, len(pairs), pairs)
@@ -319,7 +351,9 @@ class CutEvaluator:
 
     Values are cached in one dict per family keyed by cut mask, so queries
     under different selectors share the per-family work; cuts are keyed by
-    the numerically smaller side mask (the cut function is symmetric).
+    the numerically smaller side mask (the cut function is symmetric).  A
+    capped search that reached its cap leaves only a lower bound, kept in a
+    second dict per family until a larger cap asks again.
     """
 
     def __init__(self, g: Graph):
@@ -327,6 +361,7 @@ class CutEvaluator:
         self._adj = _adjacency_masks(g)
         self._values: dict[Family, dict[int, tuple[int, PatternWitness]]] = {
             family: {} for family in FAMILY_ORDER}
+        self._floors: dict[Family, dict[int, int]] = {family: {} for family in FAMILY_ORDER}
         self._ntc: dict[int, int] = {}
 
     def family_value_of_mask(self, mask: int, family: Family) -> tuple[int, PatternWitness]:
@@ -339,6 +374,21 @@ class CutEvaluator:
         return hit
 
     def value_of_mask(self, mask: int, sel: FamilySelector) -> tuple[int, PatternWitness]:
+        if sel.ntc:  # exact whatever the cap
+            return self.value_below(mask, sel, 0), EMPTY_WITNESS
+        mask = min(mask, self._full ^ mask)
+        best = (0, EMPTY_WITNESS)
+        for family in FAMILY_ORDER:
+            if family in sel.families:
+                hit = self.family_value_of_mask(mask, family)
+                if hit[0] > best[0]:
+                    best = hit
+        return best
+
+    def value_below(self, mask: int, sel: FamilySelector, cap: int) -> int:
+        """f(mask) when it is below ``cap``, otherwise some value >= cap (the
+        first family that reaches the cap ends the query).  ntc values take
+        no cap: they are always exact."""
         mask = min(mask, self._full ^ mask)
         if sel.ntc:
             v = self._ntc.get(mask)
@@ -346,13 +396,29 @@ class CutEvaluator:
                 rest = self._full ^ mask
                 v = self._ntc[mask] = max(_twin_classes(self._adj, mask, rest),
                                           _twin_classes(self._adj, rest, mask))
-            return v, EMPTY_WITNESS
-        best = (0, EMPTY_WITNESS)
+            return v
+        best = 0
+        b = None
         for family in FAMILY_ORDER:
-            if family in sel.families:
-                hit = self.family_value_of_mask(mask, family)
-                if hit[0] > best[0]:
-                    best = hit
+            if family not in sel.families:
+                continue
+            hit = self._values[family].get(mask)
+            if hit is not None:
+                value = hit[0]
+            else:
+                floors = self._floors[family]
+                value = floors.get(mask, 0)
+                if value < cap:
+                    if b is None:
+                        b = BipartiteCutGraph(mask, self._full ^ mask, self._adj)
+                    value, witness = family_value(b, family, cap)
+                    if value < cap:
+                        self._values[family][mask] = (value, witness)
+                    else:
+                        floors[mask] = value
+            if value >= cap:
+                return value
+            best = max(best, value)
         return best
 
     def value_of(self, side_x: Iterable[int], sel: FamilySelector) -> tuple[int, PatternWitness]:

@@ -8,8 +8,9 @@ Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
 builder turns that into a tree.  The exact solvers are a full enumerator
 over split hierarchies and a subset-split dynamic program (searched top
-down with branch and bound); they agree by construction on any symmetric
-cut function and cross-check each other in the test suite.
+down with branch and bound, evaluating each cut only as far as its
+incumbent width needs); they agree by construction on any symmetric cut
+function and cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import DecompositionError, MalformedLineError, SizeLimitError, Vali
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
-DP_MAX_N = 15  # 2^n-entry tables; 3^n / 2 split visits at worst
+DP_MAX_N = 15  # 2^n-entry tables (values, bounds, splits); 3^n / 2 split visits at worst
 
 
 class BranchDecomposition:
@@ -276,13 +277,33 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     and, for every subset S the tree reaches, the side S1 of its first best
     split (the side holding S's lowest vertex).  Searched top down with
     branch and bound: solve(S, bound) is best(S) if below bound, else a
-    lower bound >= bound; 3^n / 2 split visits at worst."""
+    lower bound >= bound; 3^n / 2 split visits at worst.  Every decision
+    compares a cut value with the incumbent, so a cut is evaluated with the
+    incumbent as its cap and the splits stay those of the full table."""
     full = (1 << g.n) - 1
+    top = g.n + 1  # above every cut value
 
-    # the whole value table up front; symmetric: vals[m] == vals[full ^ m]
-    value_of_mask = evaluator.value_of_mask
-    vals = [value_of_mask(m, sel)[0] for m in range(full + 1)]
+    # the value table, filled lazily and only as far as the incumbent needs:
+    # an entry >= 0 is f(m); -1 - lb means f(m) is unknown and at least lb.
+    # Symmetric: vals[m] == vals[full ^ m].  ntc values take no cap and the
+    # search reads nearly all of them, so their table is filled up front.
+    value_below = evaluator.value_below
+    if sel.ntc:
+        vals = [value_below(m, sel, top) for m in range(full + 1)]
+    else:
+        vals = [-1] * (full + 1)
+        for v in range(g.n):
+            vals[1 << v] = vals[full ^ 1 << v] = value_below(1 << v, sel, top)
     split = [0] * (full + 1)
+
+    def resolve(m: int, cap: int) -> int:
+        """f(m) if below cap, else a lower bound >= cap."""
+        lb = -1 - vals[m]
+        if lb >= cap:
+            return lb
+        value = value_below(m, sel, cap)
+        vals[m] = vals[full ^ m] = value if value < cap else -1 - value
+        return value
 
     # low[m] is a lower bound on best(m), exact once split[m] is set; a
     # rooted tree on m cuts off each vertex of m, hence the start value
@@ -304,8 +325,11 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
             s1 = bit | t
             s2 = s ^ s1
             if vals[s1] < inc and vals[s2] < inc:
-                val = max(vals[s1], vals[s2])
-                if s1 & (s1 - 1):
+                # unknown entries are negative, so they pass the test above
+                val = vals[s1] if vals[s1] >= 0 else resolve(s1, inc)
+                if val < inc:
+                    val = max(val, vals[s2] if vals[s2] >= 0 else resolve(s2, inc))
+                if val < inc and s1 & (s1 - 1):
                     val = max(val, solve(s1, inc))
                 if val < inc and s2 & (s2 - 1):
                     val = max(val, solve(s2, inc))
@@ -318,7 +342,7 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
         low[s] = inc
         return inc
 
-    return (solve(full, max(vals) + 1) if g.n > 1 else 0), split
+    return (solve(full, top) if g.n > 1 else 0), split
 
 
 def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
@@ -384,32 +408,34 @@ def greedy_branchwidth(g: Graph, sel: FamilySelector
     each split by deterministic swap local search.  The returned width is
     that of a genuine decomposition, hence >= the exact optimum."""
     ev = CutEvaluator(g)
-
-    def balanced_split(mask: int) -> tuple[int, int]:
-        # the lower half of the vertices against the upper half, then the
-        # first improving swap (ascending u in a, then v in b) until none
-        bits = list(_iter_bits(mask))
-        a = sum(bits[:len(bits) // 2])
-        b = mask ^ a
-        cost = ev.value_of_mask(a, sel)[0]
-        improved = True
-        while improved:
-            improved = False
-            for u in _iter_bits(a):
-                for v in _iter_bits(b):
-                    c2 = ev.value_of_mask(a ^ u ^ v, sel)[0]
-                    if c2 < cost:
-                        a ^= u ^ v
-                        b ^= u ^ v
-                        cost = c2
-                        improved = True
-                        break
-                if improved:
-                    break
-        return a, b
-
-    bd = _tree_from_splits(g.n, balanced_split)
+    bd = _tree_from_splits(g.n, lambda mask: _balanced_split(ev, sel, mask))
     return decomposition_width(bd, g, sel, evaluator=ev).width, bd
+
+
+def _balanced_split(ev: CutEvaluator, sel: FamilySelector, mask: int) -> tuple[int, int]:
+    """The lower half of the vertices of ``mask`` against the upper half,
+    then the first improving swap (ascending u in a, then v in b) until
+    none; a swap only has to beat the current cost, so it is evaluated
+    with that cost as the cap."""
+    bits = list(_iter_bits(mask))
+    a = sum(bits[:len(bits) // 2])
+    b = mask ^ a
+    cost = ev.value_of_mask(a, sel)[0]
+    improved = True
+    while improved:
+        improved = False
+        for u in _iter_bits(a):
+            for v in _iter_bits(b):
+                c2 = ev.value_below(a ^ u ^ v, sel, cost)
+                if c2 < cost:
+                    a ^= u ^ v
+                    b ^= u ^ v
+                    cost = c2
+                    improved = True
+                    break
+            if improved:
+                break
+    return a, b
 
 
 # ---------------------------------------------------------------------------

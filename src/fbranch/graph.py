@@ -189,13 +189,10 @@ class BipartiteCutGraph:
     def __init__(self, x_mask: int, y_mask: int, adj: Sequence[int]):
         """``adj[v]`` is a neighbour mask of v; only the part across the cut
         is kept."""
-        nbr = [0] * len(adj)
-        for bit in _iter_bits(x_mask | y_mask):
-            v = bit.bit_length() - 1
-            nbr[v] = adj[v] & (y_mask if bit & x_mask else x_mask)
         self.x_mask = x_mask
         self.y_mask = y_mask
-        self.nbr = nbr
+        self.nbr = [a & y_mask if x_mask >> v & 1 else a & x_mask if y_mask >> v & 1 else 0
+                    for v, a in enumerate(adj)]
 
     @property
     def x_vertices(self) -> tuple[int, ...]:

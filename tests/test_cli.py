@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,8 +156,8 @@ def test_verify_lemmas_detects_injected_fault(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     search, complemented = fbranch.cutfn._SEARCHES[fbranch.cutfn.Family.MATCH]
 
-    def broken(cut):
-        pairs = search(cut)
+    def broken(cut, cap):
+        pairs = search(cut, cap)
         return pairs + pairs[:1]  # one pair too many whenever a pair exists
 
     # family_value dispatches through the search table; patch there
@@ -258,3 +262,20 @@ def test_graph_header_over_vertex_limit_exit_code(tmp_path, capsys):
     assert_one_error_line(code, err)
     assert out == "" and str(GRAPH_MAX_N) in err
     assert parse_graph(f"{GRAPH_MAX_N} 0\n").n == GRAPH_MAX_N
+
+
+@pytest.mark.parametrize("module", ["fbranch.cli", "fbranch"])
+def test_python_dash_m_entry_points(module, c6, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run_module("solve", "--graph", str(c6), "--families", "match")
+    assert done.returncode == 0 and done.stdout.startswith("width 2"), done
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n1 1\n")
+    done = run_module("solve", "--graph", str(bad))
+    assert done.returncode == 2 and done.stderr.startswith("error:"), done

@@ -14,6 +14,7 @@ from fbranch.cutfn import (
     ntc_value,
     validate_witness,
 )
+from fbranch.decomp import decomposition_width, exact_branchwidth_dp, greedy_branchwidth
 from fbranch.errors import SizeLimitError
 from fbranch.families import FAMILY_ORDER, Family, pattern_edges
 from fbranch.graph import Graph, cut_graph, set_of
@@ -262,3 +263,61 @@ def test_evaluator_witness_validates_in_either_orientation():
                 value, witness = ev.value_of(xs, sel)
                 assert validate_witness(b, witness), (g, xs, sel.name(), witness)
                 assert witness.value == value
+
+
+def _capped_graphs():
+    rng = random.Random(61)
+    return [Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            for n, p in ((5, 0.5), (6, 0.3), (7, 0.6), (8, 0.4), (9, 0.5))]
+
+
+def test_capped_family_value_is_exact_below_the_cap():
+    # below the cap: the uncapped value and witness; at or above: a lower
+    # bound whose witness is still a pattern of the family
+    for g in _capped_graphs():
+        for mask in range(1 << g.n):
+            b = cut_graph(g, set_of(mask))
+            for family in FAMILY_ORDER:
+                exact = family_value(b, family)
+                assert exact[0] == generic_pattern_value(b, family)
+                for cap in range(1, 6):
+                    value, witness = family_value(b, family, cap)
+                    if exact[0] < cap:
+                        assert (value, witness) == exact, (g, mask, family, cap)
+                    else:
+                        assert value >= cap and witness.value == value
+                        assert validate_witness(b, witness)
+
+
+def _selectors():
+    return [FamilySelector.of(f) for f in FAMILY_ORDER] + [PRIMAL, ALL_FAMILIES,
+                                                          FamilySelector.parse("ntc")]
+
+
+def test_value_below_bounds_then_exact_on_a_larger_cap():
+    for g in _capped_graphs():
+        for sel in _selectors():
+            fresh = CutEvaluator(g)
+            ev = CutEvaluator(g)
+            for mask in range(1 << g.n):
+                exact = fresh.value_of_mask(mask, sel)[0]
+                first = ev.value_below(mask, sel, 2)
+                if exact < 2 or sel.ntc:
+                    assert first == exact
+                else:
+                    assert first >= 2
+                # a pattern value is at most n / 2 < 6; ntc takes no cap
+                assert ev.value_below(mask, sel, 6) == exact
+
+
+def test_width_through_a_capped_evaluator_matches_a_fresh_one():
+    rng = random.Random(67)
+    for g in _capped_graphs():
+        for sel in _selectors():
+            ev = CutEvaluator(g)
+            for mask in range(1 << g.n):
+                ev.value_below(mask, sel, rng.randint(1, 3))
+            for _, bd in (exact_branchwidth_dp(g, sel, evaluator=ev), greedy_branchwidth(g, sel)):
+                capped = decomposition_width(bd, g, sel, evaluator=ev)
+                fresh = decomposition_width(bd, g, sel)
+                assert capped.to_json_dict() == fresh.to_json_dict()

@@ -29,7 +29,14 @@ from fbranch.errors import (
     ValidationError,
 )
 from fbranch.families import Family
-from fbranch.graph import Graph, connected_components, exact_treewidth, induced_subgraph, mask_of
+from fbranch.graph import (
+    Graph,
+    _iter_bits,
+    connected_components,
+    exact_treewidth,
+    induced_subgraph,
+    mask_of,
+)
 from fbranch.verify import component_law_expected
 
 MATCH = FamilySelector.of(Family.MATCH)
@@ -358,6 +365,46 @@ def test_dp_matches_bottom_up_oracle(monkeypatch):
     got = [exact_branchwidth_dp(g, sel) for g, sel in cases]
     monkeypatch.setattr(decomp, "_dp_splits", _bottom_up_splits)
     expected = [exact_branchwidth_dp(g, sel) for g, sel in cases]
+    for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
+        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
+            (g, sel.name())
+
+
+def _uncapped_balanced_split(ev, sel, mask):
+    """Reference greedy split: the same swap search with every candidate
+    cut evaluated exactly."""
+    bits = list(_iter_bits(mask))
+    a = sum(bits[:len(bits) // 2])
+    b = mask ^ a
+    cost = ev.value_of_mask(a, sel)[0]
+    improved = True
+    while improved:
+        improved = False
+        for u in _iter_bits(a):
+            for v in _iter_bits(b):
+                c2 = ev.value_of_mask(a ^ u ^ v, sel)[0]
+                if c2 < cost:
+                    a ^= u ^ v
+                    b ^= u ^ v
+                    cost = c2
+                    improved = True
+                    break
+            if improved:
+                break
+    return a, b
+
+
+def test_greedy_matches_uncapped_oracle(monkeypatch):
+    rng = random.Random(9)
+    cases = []
+    for i in range(21):
+        n = 12 + 18 * i // 20
+        p = 0.1 + 0.3 * (i % 4) / 3 if n <= 20 else 0.1 + 0.1 * (i % 2)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        cases.append((g, (MATCH, PRIMAL, ALL_FAMILIES)[i % 3]))
+    got = [greedy_branchwidth(g, sel) for g, sel in cases]
+    monkeypatch.setattr(decomp, "_balanced_split", _uncapped_balanced_split)
+    expected = [greedy_branchwidth(g, sel) for g, sel in cases]
     for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
         assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
             (g, sel.name())

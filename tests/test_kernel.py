@@ -7,7 +7,6 @@ import pytest
 
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
-from fbranch.errors import InternalInvariantError
 from fbranch.families import Family
 from fbranch.graph import Graph, bridges, connected_components
 from fbranch.kernel import (
@@ -227,16 +226,15 @@ def test_bridgeless_with_induced_c6_has_match_width_2():
 
 def _stepwise_kernel(g):
     """The kernel loop one contraction at a time: re-find the first long
-    degree-two run on the contracted graph before every step."""
+    degree-two run on the contracted graph before every step, until the
+    target size is met or no run is long enough."""
     k = len(feedback_edge_set(g))
     cur, step = reduce_bridges_isolated(g)
     trace = KernelTrace(input_graph=g, k=k, steps=[step])
     while cur.n > kernel_vertex_bound(k):
         p = find_unimportant_path(cur, MIN_PATH_LENGTH)
         if p is None:
-            raise InternalInvariantError(
-                "no degree-two path of length 8 although the vertex bound is "
-                "exceeded; this contradicts the kernel guarantee")
+            break
         cur, step = contract_path_edge(cur, p)
         trace.steps.append(step)
     trace.final_graph = cur
@@ -311,11 +309,43 @@ def test_replay_equals_folding_apply_step():
         assert trace.replay() == folded == trace.final_graph
 
 
-def test_kernel_subdivided_k4_stalls_in_both():
+def _subdivide_evenly(hubs, core_edges, t):
+    """Every core edge replaced by a path with t interior vertices."""
+    edges, nxt = [], hubs
+    for u, v in core_edges:
+        chain = [u, *range(nxt, nxt + t), v]
+        nxt += t
+        edges += zip(chain, chain[1:])
+    return Graph(nxt, edges)
+
+
+def _check_component_bounds(final):
+    """Once every degree-two run is down to eight vertices, a component with
+    feedback number k >= 2 keeps at most 2(k - 1) branch vertices and
+    3(k - 1) runs, so 26(k - 1) vertices; a cycle keeps 8."""
+    for comp in connected_components(final):
+        k = sum(len(final.adj[v]) for v in comp) // 2 - len(comp) + 1
+        assert len(comp) <= (26 * (k - 1) if k >= 2 else 8)
+
+
+def test_kernel_past_the_target_meets_component_bounds():
     k4 = list(itertools.combinations(range(4), 2))
-    g = _subdivided(random.Random(2), 4, k4, 58)  # k = 3, bound 46
-    with pytest.raises(InternalInvariantError) as stepwise:
-        _stepwise_kernel(g)
-    with pytest.raises(InternalInvariantError) as sweep:
-        kernelize_fes(g)
-    assert str(sweep.value) == str(stepwise.value)
+    k33 = [(i, 3 + j) for i in range(3) for j in range(3)]
+    for g, k, final_n in ((_subdivide_evenly(4, k4, 20), 3, 52),
+                          (_subdivide_evenly(6, k33, 20), 4, 78)):
+        trace = kernelize_fes(g)
+        assert trace.k == k and trace.final_graph.n == final_n > kernel_vertex_bound(k)
+        _check_component_bounds(trace.final_graph)
+        assert trace.replay() == trace.final_graph
+        assert not bridges(trace.final_graph)
+
+
+def test_kernel_subdivided_k4_sweep_matches_stepwise_loop():
+    k4 = list(itertools.combinations(range(4), 2))
+    g = _subdivided(random.Random(2), 4, k4, 58)  # k = 3, target 46
+    expected = _stepwise_kernel(g)
+    trace = kernelize_fes(g)
+    assert trace.steps == expected.steps
+    assert trace.final_graph == expected.final_graph == trace.replay()
+    assert trace.final_graph.n > kernel_vertex_bound(3)
+    _check_component_bounds(trace.final_graph)
