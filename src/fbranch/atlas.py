@@ -21,21 +21,9 @@ def all_graph_classes(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes of simple graphs on exactly n vertices."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (Graph(0),)
-    if n == 1:
-        return (Graph(1),)
-    seen: dict[tuple, Graph] = {}
-    for base in all_graph_classes(n - 1):
-        base_edges = base.edges()
-        for mask in range(1 << (n - 1)):
-            edges = list(base_edges)
-            for v in range(n - 1):
-                if mask >> v & 1:
-                    edges.append((v, n - 1))
-            g = Graph(n, edges)
-            seen.setdefault(canonical_form(g), g)
-    return tuple(seen[k] for k in sorted(seen))
+    if n <= 1:
+        return (Graph(n),)
+    return _extend(all_graph_classes(n - 1), 0)
 
 
 @lru_cache(maxsize=None)
@@ -45,10 +33,17 @@ def connected_graph_classes(n: int) -> tuple[Graph, ...]:
         return all_graph_classes(n)
     # every connected graph has a non-cut vertex, so extending connected
     # classes by a vertex with a nonempty neighborhood reaches everything
+    return _extend(connected_graph_classes(n - 1), 1)
+
+
+def _extend(bases: tuple[Graph, ...], first_mask: int) -> tuple[Graph, ...]:
+    """The classes reached by joining a new last vertex to each base graph
+    with every neighborhood mask from ``first_mask`` on."""
+    n = bases[0].n + 1
     seen: dict[tuple, Graph] = {}
-    for base in connected_graph_classes(n - 1):
+    for base in bases:
         base_edges = base.edges()
-        for mask in range(1, 1 << (n - 1)):
+        for mask in range(first_mask, 1 << (n - 1)):
             edges = list(base_edges)
             for v in range(n - 1):
                 if mask >> v & 1:

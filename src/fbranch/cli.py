@@ -112,8 +112,7 @@ def cmd_kernelize(args) -> int:
 
 def cmd_prune(args) -> int:
     g = parse_graph(_read(args.infile))
-    pruned, record = prune_by_treedepth(
-        g, threshold=args.threshold, paper_bound=args.paper_bound)
+    pruned, record = prune_by_treedepth(g, threshold=args.threshold)
     if args.out:
         Path(args.out).write_text(graph_to_text(pruned))
     sys.stdout.write(
@@ -205,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--threshold", type=int, default=None,
                     help="fixed duplicate-class bound (default: surrogate)")
-    pr.add_argument("--paper-bound", action="store_true",
-                    help="use the provable class bound instead of the surrogate")
     pr.add_argument("--out")
     pr.set_defaults(fn=cmd_prune)
 

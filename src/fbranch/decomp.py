@@ -24,6 +24,7 @@ from .graph import Graph, _iter_bits, connected_components, induced_subgraph, ma
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
 DP_MAX_N = 15  # 2^n-entry tables (values, bounds, splits); 3^n / 2 split visits at worst
+GREEDY_MAX_N = 40  # each split's swap search evaluates up to n^2 / 4 cuts per swap
 
 
 class BranchDecomposition:
@@ -407,6 +408,8 @@ def greedy_branchwidth(g: Graph, sel: FamilySelector
     """Upper-bound heuristic: recursive balanced bipartitioning, improving
     each split by deterministic swap local search.  The returned width is
     that of a genuine decomposition, hence >= the exact optimum."""
+    if g.n > GREEDY_MAX_N:
+        raise SizeLimitError(f"greedy heuristic limited to n <= {GREEDY_MAX_N}, got {g.n}")
     ev = CutEvaluator(g)
     bd = _tree_from_splits(g.n, lambda mask: _balanced_split(ev, sel, mask))
     return decomposition_width(bd, g, sel, evaluator=ev).width, bd

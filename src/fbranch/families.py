@@ -34,12 +34,8 @@ class Family(Enum):
     ANTIMATCH = "antimatch"
     COMPLETE = "complete"
 
-    def __lt__(self, other: "Family") -> bool:
-        return FAMILY_ORDER.index(self) < FAMILY_ORDER.index(other)
 
-
-FAMILY_ORDER = (Family.EMPTY, Family.MATCH, Family.CHAIN,
-                Family.CHAINSTRICT, Family.ANTIMATCH, Family.COMPLETE)
+FAMILY_ORDER = tuple(Family)
 
 PRIMAL_FAMILIES = frozenset({Family.MATCH, Family.CHAIN, Family.ANTIMATCH})
 

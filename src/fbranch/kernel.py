@@ -95,9 +95,11 @@ class UnimportantPath:
 
 @dataclass(frozen=True)
 class RuleOneStep:
+    """Delete the bridges, then the vertices; the survivors keep their
+    order and are renumbered from 0."""
+
     removed_bridges: tuple[tuple[int, int], ...]
     removed_vertices: tuple[int, ...]
-    vertex_map: tuple[int, ...]  # new index -> old index
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,8 @@ class KernelTrace:
                 for u, v in step.removed_bridges:
                     adj[live[u]].discard(live[v])
                     adj[live[v]].discard(live[u])
-                covered = set(step.vertex_map) | set(step.removed_vertices)
-                if not covered.issuperset(range(len(live))):
-                    raise InternalInvariantError(
-                        "rule-one step neither keeps nor removes some vertex")
-                live = [live[i] for i in step.vertex_map]
+                removed = set(step.removed_vertices)
+                live = [v for i, v in enumerate(live) if i not in removed]
             else:
                 a, b = step.contracted_edge
                 keep, drop = live[min(a, b)], live[max(a, b)]
@@ -180,14 +179,11 @@ def apply_step(g: Graph, step) -> Graph:
 
 def _apply_rule_one(g: Graph, step: RuleOneStep) -> Graph:
     removed_bridges = set(step.removed_bridges)
-    keep_edges = [e for e in g.edges() if e not in removed_bridges]
     removed = set(step.removed_vertices)
-    index = {old: new for new, old in enumerate(step.vertex_map)}
-    if not all(v in index or v in removed for v in range(g.n)):
-        raise InternalInvariantError(
-            "rule-one step neither keeps nor removes some vertex")
-    return Graph(len(step.vertex_map),
-                 [(index[u], index[v]) for u, v in keep_edges])
+    index = {old: new for new, old in
+             enumerate(v for v in range(g.n) if v not in removed)}
+    return Graph(len(index), [(index[u], index[v]) for u, v in g.edges()
+                              if (u, v) not in removed_bridges])
 
 
 def _apply_contraction(g: Graph, step: ContractionStep) -> Graph:
@@ -206,20 +202,13 @@ def _apply_contraction(g: Graph, step: ContractionStep) -> Graph:
 def reduce_bridges_isolated(g: Graph) -> tuple[Graph, RuleOneStep]:
     """Delete all bridges of g, then all isolated vertices; the survivors
     are renumbered in ascending original order."""
-    bset = set(bridges(g))
-    degrees = [0] * g.n
-    kept_edges = []
-    for e in g.edges():
-        if e not in bset:
-            kept_edges.append(e)
-            degrees[e[0]] += 1
-            degrees[e[1]] += 1
-    survivors = [v for v in range(g.n) if degrees[v] > 0]
-    removed = tuple(v for v in range(g.n) if degrees[v] == 0)
-    index = {old: new for new, old in enumerate(survivors)}
-    out = Graph(len(survivors), [(index[u], index[v]) for u, v in kept_edges])
-    step = RuleOneStep(tuple(sorted(bset)), removed, tuple(survivors))
-    return out, step
+    removed_bridges = tuple(bridges(g))
+    degrees = [len(a) for a in g.adj]
+    for u, v in removed_bridges:
+        degrees[u] -= 1
+        degrees[v] -= 1
+    step = RuleOneStep(removed_bridges, tuple(v for v in range(g.n) if degrees[v] == 0))
+    return _apply_rule_one(g, step), step
 
 
 def _degree_two_runs(g: Graph) -> list[list[int]]:

@@ -5,9 +5,11 @@ A rooted forest whose closure contains the graph certifies treedepth; the
 exact solver recurses on vertex removal with memoization.  Pruning walks
 the decomposition bottom-up, groups sibling subtrees by their attachment-
 colored canonical form, and keeps only a bounded number per class.  The
-provably safe class bound is astronomically large, so the default is a
-small surrogate whose safety the test suite checks empirically, width
-before versus width after.
+provably safe class bound g(t, p) is computed but never prunes: its least
+value, g(1, 1) = 78,653, exceeds the at most 11 siblings of any graph
+within the exact solver's limit (n <= 12), so it would keep every vertex.
+The default is a small surrogate whose safety the test suite checks
+empirically, width before versus width after.
 """
 
 from __future__ import annotations
@@ -67,51 +69,48 @@ TREEDEPTH_MAX_N = 12
 
 
 def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
-    """Exact minimum-height rooted forest via recursive vertex removal with
-    memoization on the vertex subset."""
+    """Exact minimum-height rooted forest via recursive vertex removal.
+
+    The memo keeps, for each vertex set, its treedepth and the first root
+    (in ascending order) that attains it, or None for a disconnected set;
+    the forest is then hung from the memo in one pass from the top."""
     if g.n > TREEDEPTH_MAX_N:
         raise SizeLimitError(
             f"exact treedepth limited to n <= {TREEDEPTH_MAX_N}, got {g.n}")
-    memo: dict[frozenset[int], tuple[int, dict[int, int | None]]] = {}
+    memo: dict[frozenset[int], tuple[int, int | None]] = {}
 
-    def solve(vertices: frozenset[int]) -> tuple[int, dict[int, int | None]]:
+    def depth(vertices: frozenset[int]) -> int:
         if not vertices:
-            return 0, {}
+            return 0
         hit = memo.get(vertices)
         if hit is not None:
-            return hit
+            return hit[0]
         comps = connected_components(g, vertices)
         if len(comps) > 1:
-            height = 0
-            parent: dict[int, int | None] = {}
-            for comp in comps:
-                h, p = solve(comp)
-                height = max(height, h)
-                parent.update(p)
-            memo[vertices] = (height, parent)
-            return height, parent
-        if len(vertices) == 1:
-            v = next(iter(vertices))
-            res = (1, {v: None})
-            memo[vertices] = res
-            return res
-        best_h = len(vertices) + 1
-        best_parent: dict[int, int | None] = {}
-        best_root = -1
-        for v in sorted(vertices):
-            h, p = solve(vertices - {v})
-            if h + 1 < best_h:
-                best_h = h + 1
-                best_root = v
-                best_parent = p
-        parent = {}
-        for u, pu in best_parent.items():
-            parent[u] = best_root if pu is None else pu
-        parent[best_root] = None
-        memo[vertices] = (best_h, parent)
-        return best_h, parent
+            best: tuple[int, int | None] = (max(map(depth, comps)), None)
+        else:
+            best = (len(vertices) + 1, None)
+            for v in sorted(vertices):
+                h = depth(vertices - {v}) + 1
+                if h < best[0]:
+                    best = (h, v)
+        memo[vertices] = best
+        return best[0]
 
-    _, parent = solve(frozenset(range(g.n)))
+    everything = frozenset(range(g.n))
+    depth(everything)
+    parent: dict[int, int | None] = {}
+    stack: list[tuple[frozenset[int], int | None]] = [(everything, None)]
+    while stack:
+        vertices, above = stack.pop()
+        if not vertices:
+            continue
+        root = memo[vertices][1]
+        if root is None:
+            stack += ((comp, above) for comp in connected_components(g, vertices))
+        else:
+            parent[root] = above
+            stack.append((vertices - {root}, root))
     return TreedepthDecomposition(parent)
 
 
@@ -127,7 +126,6 @@ def _signature(g: Graph, attach: frozenset[int], comp: frozenset[int]) -> tuple:
 @dataclass
 class PruneRecord:
     removed: list[frozenset[int]]
-    vertex_map: tuple[int, ...]  # new index -> old index
 
     def removed_count(self) -> int:
         return sum(len(c) for c in self.removed)
@@ -187,28 +185,21 @@ def surrogate_threshold(t: int, p: int) -> int:
     return 2 * t + 2 * p + 1
 
 
-def prune_by_treedepth(g: Graph, threshold: int | None = None,
-                       paper_bound: bool = False) -> tuple[Graph, PruneRecord]:
+def prune_by_treedepth(g: Graph, threshold: int | None = None
+                       ) -> tuple[Graph, PruneRecord]:
     """Walk the ranks of an exact treedepth decomposition bottom-to-top; at
     each node group the child subtrees by attachment-colored signature and
     keep at most the class threshold.
 
     ``threshold`` fixes one global class bound; otherwise each class uses
-    the surrogate (or, with ``paper_bound``, the provable g bound, which on
-    desk-scale inputs exceeds every multiplicity and prunes nothing).
+    the surrogate, never the provable g bound, which at n <= 12 exceeds
+    every sibling count (see the module docstring).
     """
     if threshold is not None and threshold < 1:
         raise ValidationError("threshold must be >= 1")
     td = treedepth_decomposition(g)
     kids = td.children()
     depth = {v: td.depth(v) for v in td.parent}
-
-    def class_bound(t: int, size: int) -> int:
-        if threshold is not None:
-            return threshold
-        if paper_bound:
-            return bound_g(t, size)[4]
-        return surrogate_threshold(t, size)
 
     below: dict[int, frozenset[int]] = {}  # node -> its decomposition subtree
     alive: set[int] = set(range(g.n))
@@ -225,14 +216,13 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None,
             if c in alive:
                 sub = below[c] & alive
                 classes.setdefault(_signature(g, attach, sub), []).append(sub)
-        # of each class keep the members with the smallest vertices; every
-        # bound is at least 1, so a one-member class never asks for its bound
+        # of each class keep the members with the smallest vertices
         for members in classes.values():
-            if len(members) > 1:
-                members.sort(key=min)
-                for extra in members[class_bound(depth[node], len(members[0])):]:
-                    removed.append(extra)
-                    alive -= extra
-    survivors = sorted(alive)
-    out, _ = induced_subgraph(g, survivors)
-    return out, PruneRecord(removed=removed, vertex_map=tuple(survivors))
+            members.sort(key=min)
+            bound = (threshold if threshold is not None
+                     else surrogate_threshold(depth[node], len(members[0])))
+            for extra in members[bound:]:
+                removed.append(extra)
+                alive -= extra
+    out, _ = induced_subgraph(g, alive)
+    return out, PruneRecord(removed=removed)

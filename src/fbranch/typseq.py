@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ParseError, ValidationError
 
 BOTTOM = math.inf
+INTERLEAVE_MAX_LENGTH = 16  # len(s) + len(t); the walks grow like Delannoy numbers
 
 Entry = float  # naturals plus BOTTOM
 Seq = tuple
@@ -155,6 +156,9 @@ def interleave(s: Sequence[Entry], t: Sequence[Entry],
     if not is_typical(s) or not is_typical(t):
         raise ValueError("interleaving is defined on typical sequences")
     m, n = len(s), len(t)
+    if m + n > INTERLEAVE_MAX_LENGTH:
+        raise ValidationError(
+            f"interleaving limited to {INTERLEAVE_MAX_LENGTH} entries in all, got {m + n}")
     cap = max_length if max_length is not None else m + n
     if cap < max(m, n):
         return set()

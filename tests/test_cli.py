@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,13 @@ from pathlib import Path
 import pytest
 
 import fbranch.cutfn
-from fbranch.cli import main
-from fbranch.decomp import parse_decomposition, decomposition_width, validate_decomposition
+from fbranch.cli import build_parser, main
+from fbranch.decomp import (
+    GREEDY_MAX_N,
+    decomposition_width,
+    parse_decomposition,
+    validate_decomposition,
+)
 from fbranch.cutfn import FamilySelector
 from fbranch.graph import GRAPH_MAX_N, parse_graph
 
@@ -118,13 +124,6 @@ def test_prune_cli(tmp_path, capsys):
     assert parse_graph(out_file.read_text()).n == 3
 
 
-def test_prune_paper_bound_keeps_everything(tmp_path, capsys):
-    g = tmp_path / "star.txt"
-    g.write_text("8 7\n" + "\n".join(f"0 {i}" for i in range(1, 8)) + "\n")
-    code, out, _ = run(capsys, "prune", "--in", str(g), "--paper-bound")
-    assert code == 0 and "8 vertices -> 8" in out
-
-
 def test_classify_cli(tmp_path, capsys):
     h = tmp_path / "h.txt"
     h.write_text("2\n1 1\n1 2\n2 2\n")
@@ -199,6 +198,23 @@ def test_typical_bad_sequence_entry_exit_code(capsys):
 def test_typical_enumerate_over_limit_exit_code(capsys):
     code, _, err = run(capsys, "typical", "--enumerate", "9")
     assert_one_error_line(code, err)
+
+
+def test_typical_interleave_over_limit_exit_code(capsys):
+    # 9 + 9 entries: walking them took 45 s
+    code, out, err = run(capsys, "typical", "--seq", "0,40,1,39,2,38,3,37,4",
+                         "--interleave", "0,41,1,40,2,39,3,38,4")
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_solve_greedy_over_limit_exit_code(tmp_path, capsys):
+    n = GREEDY_MAX_N + 1
+    big = tmp_path / "path.txt"
+    big.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "solve", "--graph", str(big), "--solver", "greedy")
+    assert_one_error_line(code, err)
+    assert out == "" and str(GREEDY_MAX_N) in err
 
 
 def test_width_non_integer_tree_line_exit_code(c6, tmp_path, capsys):
@@ -279,3 +295,16 @@ def test_python_dash_m_entry_points(module, c6, tmp_path):
     bad.write_text("2 1\n1 1\n")
     done = run_module("solve", "--graph", str(bad))
     assert done.returncode == 2 and done.stderr.startswith("error:"), done
+
+
+def test_readme_cli_lines_parse():
+    """Every command line of the README's CLI block names only existing
+    commands and options (parsed, not run)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("fbranch ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

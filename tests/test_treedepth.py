@@ -1,14 +1,17 @@
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from fbranch.atlas import all_graph_classes
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
 from fbranch.errors import SizeLimitError, ValidationError
 from fbranch.families import Family
-from fbranch.graph import Graph
+from fbranch.graph import Graph, connected_components, induced_subgraph
 import fbranch.treedepth
 from fbranch.treedepth import (
     bound_f,
@@ -223,28 +226,6 @@ def test_prune_by_treedepth_surrogate_default():
         assert exact_branchwidth_dp(g, sel)[0] == exact_branchwidth_dp(out, sel)[0]
 
 
-def test_prune_by_treedepth_paper_bound_prunes_nothing_small():
-    g = star(9)
-    out, record = prune_by_treedepth(g, paper_bound=True)
-    assert out.n == g.n and record.removed_count() == 0
-
-
-def test_prune_by_treedepth_paper_bound_skips_single_member_classes(monkeypatch):
-    # a spider with legs of 8, 1, 1 and 1 vertices: the long leg is a class
-    # of its own, and g(t, p) for its subtrees (p up to 7) would take
-    # minutes and gigabits; only classes that could lose a member need it
-    g = Graph(12, [(i, i + 1) for i in range(8)] + [(0, 9), (0, 10), (0, 11)])
-    real = fbranch.treedepth.bound_g
-
-    def guarded(t, p):
-        if p >= 6:
-            raise AssertionError(f"bound_g({t}, {p}) asked for")
-        return real(t, p)
-
-    monkeypatch.setattr(fbranch.treedepth, "bound_g", guarded)
-    out, record = prune_by_treedepth(g, paper_bound=True)
-    assert out == g and record.removed == []
-
 def test_prune_duplicates_never_increases_width():
     rng = random.Random(29)
     for _ in range(10):
@@ -255,3 +236,102 @@ def test_prune_duplicates_never_increases_width():
             before = exact_branchwidth_dp(g, sel)[0]
             after = exact_branchwidth_dp(out, sel)[0] if out.n else 0
             assert after <= before
+
+
+def reference_treedepth_parent(g):
+    """Reference solver: the memo keeps a whole parent map per vertex set,
+    merged over the components of a disconnected set and re-rooted under
+    the first best root of a connected one."""
+    memo = {}
+
+    def solve(vertices):
+        if not vertices:
+            return 0, {}
+        if vertices in memo:
+            return memo[vertices]
+        comps = connected_components(g, vertices)
+        if len(comps) > 1:
+            height, parent = 0, {}
+            for comp in comps:
+                h, p = solve(comp)
+                height = max(height, h)
+                parent.update(p)
+        else:
+            height, below, root = len(vertices) + 1, {}, None
+            for v in sorted(vertices):
+                h, p = solve(vertices - {v})
+                if h + 1 < height:
+                    height, below, root = h + 1, p, v
+            parent = {u: root if pu is None else pu for u, pu in below.items()}
+            parent[root] = None
+        memo[vertices] = (height, parent)
+        return height, parent
+
+    return solve(frozenset(range(g.n)))[1]
+
+
+def reference_prune(g, parent):
+    """Reference prune over a parent map: deepest nodes first, sibling
+    subtrees grouped by signature, the surrogate number kept per class."""
+    def ancestors(v):
+        out = []
+        while parent[v] is not None:
+            v = parent[v]
+            out.append(v)
+        return out
+
+    kids = {v: sorted(c for c in parent if parent[c] == v) for v in parent}
+    depth = {v: len(ancestors(v)) + 1 for v in parent}
+    below, alive, removed = {}, set(range(g.n)), []
+    for node in sorted(parent, key=lambda v: (-depth[v], v)):
+        below[node] = frozenset([node]).union(*(below[c] for c in kids[node]))
+        if node not in alive:
+            continue
+        attach = frozenset(ancestors(node) + [node])
+        classes = {}
+        for c in kids[node]:
+            if c in alive:
+                sub = below[c] & alive
+                classes.setdefault(_signature(g, attach, sub), []).append(sub)
+        for members in classes.values():
+            members.sort(key=min)
+            for extra in members[surrogate_threshold(depth[node], len(members[0])):]:
+                removed.append(extra)
+                alive -= extra
+    return induced_subgraph(g, alive)[0], removed
+
+
+def _prune_gadgets():
+    """The nine 12-vertex prune inputs of the benchmark, with the
+    generators' labels (perfbench is no package, so it is loaded by path)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [Graph(workloads.PRUNE_N, workloads.PRUNE_GENERATORS[shape](param))
+            for shape, param in workloads.PRUNE_SLOTS]
+
+
+def test_treedepth_and_prune_match_reference(monkeypatch):
+    # the prune's own decomposition is the one compared, so each input is
+    # solved once
+    solved = []
+
+    def recorded(g):
+        solved.append(treedepth_decomposition(g))
+        return solved[-1]
+
+    monkeypatch.setattr(fbranch.treedepth, "treedepth_decomposition", recorded)
+    rng = random.Random(41)
+    seeded = []
+    for _ in range(40):
+        n = rng.randint(8, 12)
+        p = rng.choice((0.2, 0.3, 0.4))
+        seeded.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p]))
+    graphs = [g for n in range(7) for g in all_graph_classes(n)]
+    for g in graphs + seeded + _prune_gadgets():
+        parent = reference_treedepth_parent(g)
+        out, record = prune_by_treedepth(g)
+        assert solved[-1].parent == parent
+        assert (out, record.removed) == reference_prune(g, parent)

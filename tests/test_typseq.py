@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from fbranch.errors import ValidationError
 from fbranch.typseq import (
     BOTTOM,
+    INTERLEAVE_MAX_LENGTH,
     enumerate_typical,
     extensions,
     format_sequence,
@@ -159,6 +161,17 @@ def test_interleave_matches_literal_definition():
 def test_interleave_requires_typical():
     with pytest.raises(ValueError):
         interleave((1, 1), (2,))
+
+
+def test_interleave_length_limit():
+    zigzag = tuple(x for i in range(8) for x in (i, 40 - i))  # 0,40,1,39,...
+    assert is_typical(zigzag) and len(zigzag) == INTERLEAVE_MAX_LENGTH == 16
+    s = zigzag[:INTERLEAVE_MAX_LENGTH - 1]
+    assert interleave(s, (0,)) == {s}  # one walk: at the limit, admitted
+    with pytest.raises(ValidationError, match="16"):
+        interleave(s, (0, 1))
+    with pytest.raises(ValidationError):
+        interleave(zigzag[:9], zigzag[:9])
 
 
 def test_bottom_absorbs():
