@@ -290,15 +290,28 @@ def family_value(b: BipartiteCutGraph, family: Family, cap: float = math.inf
     return len(pairs), PatternWitness(family, len(pairs), pairs)
 
 
-def _twin_classes(adj: list[int], side: int, rest: int) -> int:
-    """Number of classes of ``side`` under equal neighbourhood in ``rest``."""
-    return len({adj[bit.bit_length() - 1] & rest for bit in _iter_bits(side)})
+def _ntc_cut_value(adj: list[int], mask: int, rest: int) -> int:
+    """The twin-class cut value of (mask, rest): the larger of the two
+    sides' class counts, a side's vertices being classed by their
+    neighbourhood on the other side; one pass over the vertices."""
+    xs: set[int] = set()
+    ys: set[int] = set()
+    for v, nbrs in enumerate(adj):
+        if mask >> v & 1:
+            xs.add(nbrs & rest)
+        else:
+            ys.add(nbrs & mask)
+    return max(len(xs), len(ys))
 
 
 def ntc_value(g: Graph, side_x: Iterable[int]) -> int:
-    """Number of classes of X under equal neighborhood outside X."""
+    """Number of classes of X under equal neighbourhood outside X.  This
+    counts one side only; the cut function of the ``ntc`` selector
+    (``CutEvaluator``) is the larger of this count for X and for V - X."""
     x = mask_of(side_x)
-    return _twin_classes(_adjacency_masks(g), x, ((1 << g.n) - 1) ^ x)
+    rest = ((1 << g.n) - 1) ^ x
+    adj = _adjacency_masks(g)
+    return len({adj[v] & rest for v in range(g.n) if x >> v & 1})
 
 
 ORACLE_MAX_VERTICES = 24
@@ -393,9 +406,7 @@ class CutEvaluator:
         if sel.ntc:
             v = self._ntc.get(mask)
             if v is None:
-                rest = self._full ^ mask
-                v = self._ntc[mask] = max(_twin_classes(self._adj, mask, rest),
-                                          _twin_classes(self._adj, rest, mask))
+                v = self._ntc[mask] = _ntc_cut_value(self._adj, mask, self._full ^ mask)
             return v
         best = 0
         b = None
@@ -420,6 +431,16 @@ class CutEvaluator:
                 return value
             best = max(best, value)
         return best
+
+    def ntc_table(self) -> bytes:
+        """The twin-class cut value of every mask, indexed by the mask.
+        Only the masks without the top vertex are evaluated: the others are
+        their complements, which run through the first half in reverse."""
+        full = self._full
+        if not full:
+            return bytes(1)  # the empty graph's one cut, of value 0
+        half = bytes(_ntc_cut_value(self._adj, m, full ^ m) for m in range((full + 1) >> 1))
+        return half + half[::-1]
 
     def value_of(self, side_x: Iterable[int], sel: FamilySelector) -> tuple[int, PatternWitness]:
         return self.value_of_mask(mask_of(side_x), sel)

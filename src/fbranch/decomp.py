@@ -7,15 +7,21 @@ the leaves, hence the vertices, into the cut evaluated by the cut function.
 Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
 builder turns that into a tree.  The exact solvers are a full enumerator
-over split hierarchies and a subset-split dynamic program (searched top
-down with branch and bound, evaluating each cut only as far as its
-incumbent width needs); they agree by construction on any symmetric cut
-function and cross-check each other in the test suite.
+over split hierarchies and a subset-split dynamic program, searched top
+down with branch and bound.  Under pattern families it evaluates each cut
+only as far as its incumbent width needs; under the twin-class count it
+builds the whole value table and visits only the splits whose cuts are
+below the incumbent.  The two solvers agree by construction on any
+symmetric cut function and cross-check each other in the test suite.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress, filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness
@@ -23,7 +29,7 @@ from .errors import DecompositionError, MalformedLineError, SizeLimitError, Vali
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
-DP_MAX_N = 15  # 2^n-entry tables (values, bounds, splits); 3^n / 2 split visits at worst
+DP_MAX_N = 15  # 2^n-entry tables (values, bounds, splits); a split search may walk 2^|S| submasks
 GREEDY_MAX_N = 40  # each split's swap search evaluates up to n^2 / 4 cuts per swap
 
 
@@ -276,24 +282,31 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     singleton base 0.  The best split of V is the root edge: f(S1) equals
     f(S2) there, so best(V) already counts the root cut.  Returns best(V)
     and, for every subset S the tree reaches, the side S1 of its first best
-    split (the side holding S's lowest vertex).  Searched top down with
-    branch and bound: solve(S, bound) is best(S) if below bound, else a
-    lower bound >= bound; 3^n / 2 split visits at worst.  Every decision
-    compares a cut value with the incumbent, so a cut is evaluated with the
-    incumbent as its cap and the splits stay those of the full table."""
-    full = (1 << g.n) - 1
-    top = g.n + 1  # above every cut value
+    split; S1 holds S's lowest vertex, and splits are ordered by S1
+    ascending.  Searched top down with branch and bound: solve(S, bound)
+    is best(S) if below bound, else a lower bound >= bound, and it only
+    looks at splits whose two cut values are below its incumbent.
+    Pattern-family values are evaluated lazily, with the incumbent as
+    their cap, while the search steps through the submasks of S.
+    Twin-class values are cheap, so their whole table is built first; a
+    search then walks only the masks whose value is below the incumbent,
+    and the root starts from the balanced-edge lower bound.  Every decision
+    compares a cut value with the incumbent, so the splits stay those of
+    the full table."""
+    n = g.n
+    full = (1 << n) - 1
+    top = n + 1  # above every cut value
 
-    # the value table, filled lazily and only as far as the incumbent needs:
-    # an entry >= 0 is f(m); -1 - lb means f(m) is unknown and at least lb.
-    # Symmetric: vals[m] == vals[full ^ m].  ntc values take no cap and the
-    # search reads nearly all of them, so their table is filled up front.
+    # the value table.  Twin-class values are all filled in first; pattern
+    # values are filled lazily and only as far as the incumbent needs: an
+    # entry >= 0 is f(m), -1 - lb means f(m) is unknown and at least lb.
+    # Symmetric: vals[m] == vals[full ^ m].
     value_below = evaluator.value_below
     if sel.ntc:
-        vals = [value_below(m, sel, top) for m in range(full + 1)]
+        vals = evaluator.ntc_table()
     else:
         vals = [-1] * (full + 1)
-        for v in range(g.n):
+        for v in range(n):
             vals[1 << v] = vals[full ^ 1 << v] = value_below(1 << v, sel, top)
     split = [0] * (full + 1)
 
@@ -307,43 +320,94 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
         return value
 
     # low[m] is a lower bound on best(m), exact once split[m] is set; a
-    # rooted tree on m cuts off each vertex of m, hence the start value
-    low = [0] * (full + 1)
-    for m in range(1, full + 1):
-        low[m] = max(low[m & (m - 1)], vals[m & -m])
+    # rooted tree on m cuts off each vertex of m, so the first visit starts
+    # it at m's largest singleton value: that of the first bit of m in
+    # ``singles``, the vertex bits by decreasing value.  Every bound is at
+    # most top, so a byte holds it.
+    low = bytearray(full + 1)
+    singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
+
+    @cache
+    def below(w: int) -> array:
+        """The masks m with f(m) < w, ascending (twin-class table only)."""
+        is_below = bytes(map(w.__gt__, range(256)))  # value v -> v < w
+        return array("I", compress(range(full + 1), vals.translate(is_below)))
 
     def solve(s: int, bound: int) -> int:
         lo = low[s]
-        if split[s] or lo >= bound:
+        if split[s]:
+            return lo
+        if not lo:
+            lo = low[s] = vals[next(filter(s.__and__, singles))]
+        if lo >= bound:
             return lo
         bit = s & -s
-        rest = s ^ bit
         inc = bound
-        # submasks t of rest ascending (t == rest excluded: s2 would be
-        # empty); s1 = bit | t keeps the splits unordered
-        t = 0
-        while t != rest:
-            s1 = bit | t
-            s2 = s ^ s1
-            if vals[s1] < inc and vals[s2] < inc:
-                # unknown entries are negative, so they pass the test above
-                val = vals[s1] if vals[s1] >= 0 else resolve(s1, inc)
-                if val < inc:
-                    val = max(val, vals[s2] if vals[s2] >= 0 else resolve(s2, inc))
-                if val < inc and s1 & (s1 - 1):
-                    val = max(val, solve(s1, inc))
-                if val < inc and s2 & (s2 - 1):
-                    val = max(val, solve(s2, inc))
-                if val < inc:
-                    inc = val
-                    split[s] = s1
-                    if inc <= lo:
-                        break
-            t = (t - rest) & rest
+        if sel.ntc:
+            # the splits of s are its submasks s1 holding bit, s1 != s;
+            # only those in below(inc) can pass, so walk them there in
+            # ascending order, and when the incumbent drops resume in the
+            # smaller list just after the split that lowered it (islice, not
+            # a slice: a copy would stay alive down the recursion)
+            out = full ^ s
+            s1 = 0
+            while inc > lo:
+                masks = below(inc)
+                window = islice(masks, bisect_right(masks, s1), bisect_left(masks, s))
+                for s1 in filter(bit.__and__, filterfalse(out.__and__, window)):
+                    s2 = s ^ s1
+                    if vals[s2] < inc:
+                        val = max(vals[s1], vals[s2])
+                        if val < inc and s1 & (s1 - 1):
+                            val = max(val, solve(s1, inc))
+                        if val < inc and s2 & (s2 - 1):
+                            val = max(val, solve(s2, inc))
+                        if val < inc:
+                            inc = val
+                            split[s] = s1
+                            break
+                else:
+                    break
+        else:
+            rest = s ^ bit
+            # submasks t of rest ascending (t == rest excluded: s2 would be
+            # empty); s1 = bit | t keeps the splits unordered
+            t = 0
+            while t != rest:
+                s1 = bit | t
+                s2 = s ^ s1
+                if vals[s1] < inc and vals[s2] < inc:
+                    # unknown entries are negative, so they pass the test above
+                    val = vals[s1] if vals[s1] >= 0 else resolve(s1, inc)
+                    if val < inc:
+                        val = max(val, vals[s2] if vals[s2] >= 0 else resolve(s2, inc))
+                    if val < inc and s1 & (s1 - 1):
+                        val = max(val, solve(s1, inc))
+                    if val < inc and s2 & (s2 - 1):
+                        val = max(val, solve(s2, inc))
+                    if val < inc:
+                        inc = val
+                        split[s] = s1
+                        if inc <= lo:
+                            break
+                t = (t - rest) & rest
         low[s] = inc
         return inc
 
-    return (solve(full, top) if g.n > 1 else 0), split
+    if n <= 1:
+        return 0, split
+    if sel.ntc:
+        # every tree has an edge with between n/3 and 2n/3 vertices on
+        # each side, so no width is below the least value of such a cut:
+        # the value of the first balanced mask met, scanning values upwards
+        for floor in range(top):
+            m = vals.find(floor)
+            while m >= 0 and not n <= 3 * m.bit_count() <= 2 * n:
+                m = vals.find(floor, m + 1)
+            if m >= 0:
+                break
+        low[full] = max(vals[singles[0]], floor)
+    return solve(full, top), split
 
 
 def exact_branchwidth_dp(g: Graph, sel: FamilySelector,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fbranch.atlas import all_graph_classes
 from fbranch.cutfn import (
     ALL_FAMILIES,
     PRIMAL,
@@ -182,6 +183,24 @@ def test_ntc_dominates_primal_value():
         for k in range(n + 1):
             xs = frozenset(rng.sample(range(n), k))
             assert ntc_value(g, xs) >= CutEvaluator(g).value_of(xs, PRIMAL)[0]
+
+
+def test_ntc_table_matches_per_mask_values():
+    ntc = FamilySelector.parse("ntc")
+    rng = random.Random(53)
+    graphs = [g for n in range(7) for g in all_graph_classes(n)]
+    for n in (0, 1, 7, 8):
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.5]))
+    for g in graphs:
+        ev = CutEvaluator(g)
+        table = ev.ntc_table()
+        full = (1 << g.n) - 1
+        assert len(table) == full + 1, g
+        for m in range(full + 1):
+            xs = set_of(m)
+            two_sided = max(ntc_value(g, xs), ntc_value(g, set(range(g.n)) - xs))
+            assert table[m] == ev.value_below(m, ntc, g.n + 1) == two_sided, (g, m)
 
 
 def test_generic_oracle_trivial_cases():

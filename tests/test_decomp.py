@@ -184,9 +184,11 @@ def test_dp_equals_enum_all_connected_n_le_5():
 
 
 def test_dp_equals_enum_with_ntc():
+    # ntc runs the dynamic program on the whole graph, disconnected or not
     ntc = FamilySelector.parse("ntc")
-    for g in connected_graph_classes(4):
-        assert exact_branchwidth_dp(g, ntc)[0] == exact_branchwidth_enum(g, ntc)[0]
+    for n in range(7):
+        for g in all_graph_classes(n):
+            assert exact_branchwidth_dp(g, ntc)[0] == exact_branchwidth_enum(g, ntc)[0], g
 
 
 def test_dp_routes_disconnected_through_components():
@@ -368,6 +370,26 @@ def test_dp_matches_bottom_up_oracle(monkeypatch):
     for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
         assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
             (g, sel.name())
+
+
+def test_ntc_dp_matches_bottom_up_oracle_on_larger_graphs(monkeypatch):
+    # connected graphs shaped like the benchmark's twin-class solves, where
+    # the split search walks candidate lists and the root starts from the
+    # balanced-edge bound
+    ntc = FamilySelector.parse("ntc")
+    rng = random.Random(11)
+    graphs = []
+    while len(graphs) < 24:
+        n = 11 + len(graphs) % 2
+        p = 0.3 + 0.1 * (len(graphs) // 2 % 4)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        if len(connected_components(g)) == 1:
+            graphs.append(g)
+    got = [exact_branchwidth_dp(g, ntc) for g in graphs]
+    monkeypatch.setattr(decomp, "_dp_splits", _bottom_up_splits)
+    expected = [exact_branchwidth_dp(g, ntc) for g in graphs]
+    for g, (w, bd), (w_old, bd_old) in zip(graphs, got, expected):
+        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), g
 
 
 def _uncapped_balanced_split(ev, sel, mask):
