@@ -2,20 +2,21 @@
 across a cut, plus the twin-class count.
 
 One engine serves all six families.  A cut is a ``BipartiteCutGraph``: two
-side bitmasks plus each vertex's neighbour mask across the cut.  Three
-branch-and-bound searches over those masks (induced matching, balanced
-biclique, chain) give MATCH, COMPLETE and CHAIN; the other three families
-are the same searches on the bipartite complement, read in reverse pattern
-order (EMPTY = COMPLETE, ANTIMATCH = MATCH, CHAINSTRICT = CHAIN of the
-complement).  Every search extends in ascending vertex order, so the
-returned witness is reproducible.
+side bitmasks plus the graph's own neighbour masks, of which the searches
+read only the part across the cut.  Three branch-and-bound searches over
+those masks (induced matching, balanced biclique, chain) give MATCH,
+COMPLETE and CHAIN; the other three families are the same searches on the
+bipartite complement, read in reverse pattern order (EMPTY = COMPLETE,
+ANTIMATCH = MATCH, CHAINSTRICT = CHAIN of the complement).  Every search
+extends in ascending vertex order, so the returned witness is reproducible.
 
 A search may be capped: it stops as soon as its best pattern has ``cap``
 pairs.  A capped result below the cap is exact, and its witness is the
 uncapped one (the search never stopped, so it took the same path); a result
 at the cap is only a lower bound.  The solvers ask only whether a cut is
 below their incumbent width, so ``CutEvaluator.value_below`` passes the
-incumbent as the cap and remembers which of its answers are exact.
+incumbent as the cap; its cache keeps a value with its witness when it
+is exact and a lower bound otherwise.
 
 ``generic_pattern_value`` is the independent oracle: a plain exhaustive
 search over ordered partner selections that shares nothing with the engine
@@ -88,9 +89,6 @@ class FamilySelector:
             return "ntc"
         return ",".join(f.value for f in sorted(self.families, key=FAMILY_ORDER.index))
 
-    def __str__(self) -> str:
-        return self.name()
-
 
 PRIMAL = FamilySelector(families=PRIMAL_FAMILIES)
 ALL_FAMILIES = FamilySelector(families=frozenset(FAMILY_ORDER))
@@ -116,17 +114,6 @@ class PatternWitness:
 EMPTY_WITNESS = PatternWitness(None, 0)
 
 
-def witness_graph(b: BipartiteCutGraph, witness: PatternWitness) -> OrderedBipartiteGraph:
-    """The ordered bipartite graph induced by the witness pairs inside the
-    cut graph (the object a classifier validates)."""
-    a_side = tuple(x for x, _ in witness.pairs)
-    b_side = tuple(y for _, y in witness.pairs)
-    q = len(witness.pairs)
-    edges = frozenset((i, j) for i in range(q) for j in range(q)
-                      if b.has_edge(a_side[i], b_side[j]))
-    return OrderedBipartiteGraph(q, edges, a_side, b_side)
-
-
 def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
     """Re-check a witness: its value, sides and induced pattern must agree.
 
@@ -134,20 +121,23 @@ def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
     the opposite side of the cut; every family is closed under swapping the
     sides (up to reordering the pairs), so both orientations are accepted.
     Swapping is swapping the two side masks: the neighbour masks serve both.
+    The pattern checked is the ordered bipartite graph the pairs induce.
     """
     if witness.value != len(witness.pairs):
         return witness.value == 0 and not witness.pairs
     if witness.value == 0:
         return True
-    xs = [x for x, _ in witness.pairs]
-    ys = [y for _, y in witness.pairs]
+    xs = tuple(x for x, _ in witness.pairs)
+    ys = tuple(y for _, y in witness.pairs)
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         return False
     xm, ym = mask_of(xs), mask_of(ys)
     if not any(xm & ~side_x == 0 and ym & ~side_y == 0
                for side_x, side_y in ((b.x_mask, b.y_mask), (b.y_mask, b.x_mask))):
         return False
-    return witness.family in classify_si(witness_graph(b, witness))
+    q = len(xs)
+    edges = frozenset((i, j) for i in range(q) for j in range(q) if b.has_edge(xs[i], ys[j]))
+    return witness.family in classify_si(OrderedBipartiteGraph(q, edges, xs, ys))
 
 
 # The three searches return the best partner pairs (x, y) in pattern order;
@@ -364,32 +354,35 @@ class CutEvaluator:
 
     Values are cached in one dict per family keyed by cut mask, so queries
     under different selectors share the per-family work; cuts are keyed by
-    the numerically smaller side mask (the cut function is symmetric).  A
-    capped search that reached its cap leaves only a lower bound, kept in a
-    second dict per family until a larger cap asks again.
+    the numerically smaller side mask (the cut function is symmetric).  An
+    entry is ``(value, witness)`` when exact, or ``(lower bound, None)``
+    when a capped search reached its cap; a larger cap searches again.
     """
 
     def __init__(self, g: Graph):
         self._full = (1 << g.n) - 1
         self._adj = _adjacency_masks(g)
-        self._values: dict[Family, dict[int, tuple[int, PatternWitness]]] = {
+        self._values: dict[Family, dict[int, tuple[int, PatternWitness | None]]] = {
             family: {} for family in FAMILY_ORDER}
-        self._floors: dict[Family, dict[int, int]] = {family: {} for family in FAMILY_ORDER}
         self._ntc: dict[int, int] = {}
 
-    def family_value_of_mask(self, mask: int, family: Family) -> tuple[int, PatternWitness]:
+    def family_value_of_mask(self, mask: int, family: Family, cap: float = math.inf
+                             ) -> tuple[int, PatternWitness | None]:
+        """The family's value across the cut with its witness when it is
+        below ``cap``, otherwise ``(lower bound >= cap, None)``."""
         mask = min(mask, self._full ^ mask)
         values = self._values[family]
         hit = values.get(mask)
-        if hit is None:
-            b = BipartiteCutGraph(mask, self._full ^ mask, self._adj)
-            hit = values[mask] = family_value(b, family)
+        if hit is None or hit[1] is None and hit[0] < cap:
+            value, witness = family_value(
+                BipartiteCutGraph(mask, self._full ^ mask, self._adj), family, cap)
+            hit = values[mask] = (value, witness if value < cap else None)
         return hit
 
     def value_of_mask(self, mask: int, sel: FamilySelector) -> tuple[int, PatternWitness]:
+        """The exact cut value with the witness of its first largest family."""
         if sel.ntc:  # exact whatever the cap
             return self.value_below(mask, sel, 0), EMPTY_WITNESS
-        mask = min(mask, self._full ^ mask)
         best = (0, EMPTY_WITNESS)
         for family in FAMILY_ORDER:
             if family in sel.families:
@@ -402,34 +395,19 @@ class CutEvaluator:
         """f(mask) when it is below ``cap``, otherwise some value >= cap (the
         first family that reaches the cap ends the query).  ntc values take
         no cap: they are always exact."""
-        mask = min(mask, self._full ^ mask)
         if sel.ntc:
+            mask = min(mask, self._full ^ mask)
             v = self._ntc.get(mask)
             if v is None:
                 v = self._ntc[mask] = _ntc_cut_value(self._adj, mask, self._full ^ mask)
             return v
         best = 0
-        b = None
         for family in FAMILY_ORDER:
-            if family not in sel.families:
-                continue
-            hit = self._values[family].get(mask)
-            if hit is not None:
-                value = hit[0]
-            else:
-                floors = self._floors[family]
-                value = floors.get(mask, 0)
-                if value < cap:
-                    if b is None:
-                        b = BipartiteCutGraph(mask, self._full ^ mask, self._adj)
-                    value, witness = family_value(b, family, cap)
-                    if value < cap:
-                        self._values[family][mask] = (value, witness)
-                    else:
-                        floors[mask] = value
-            if value >= cap:
-                return value
-            best = max(best, value)
+            if family in sel.families:
+                value = self.family_value_of_mask(mask, family, cap)[0]
+                if value >= cap:
+                    return value
+                best = max(best, value)
         return best
 
     def ntc_table(self) -> bytes:

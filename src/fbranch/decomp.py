@@ -255,23 +255,25 @@ def _tree_from_splits(n: int, split: Callable[[int], tuple[int, int]]
     if n <= 1:
         return BranchDecomposition(n, [], {0: 0} if n else {})
     edges: list[tuple[int, int]] = []
+    root_edge: list[int] = []
     next_internal = n
-
-    def build(mask: int) -> int:
-        nonlocal next_internal
+    # (leaf set, parent node or -1 for a side of the root edge), popped in
+    # preorder; a stack, not recursion, since a tree may be n levels deep
+    stack = [(side, -1) for side in reversed(split((1 << n) - 1))]
+    while stack:
+        mask, parent = stack.pop()
         if mask & (mask - 1) == 0:
-            return mask.bit_length() - 1
-        node = next_internal
-        next_internal += 1
-        s1, s2 = split(mask)
-        edges.append((node, build(s1)))
-        edges.append((node, build(s2)))
-        return node
-
-    root_a, root_b = split((1 << n) - 1)
-    left = build(root_a)
-    right = build(root_b)
-    edges.append((left, right))
+            node = mask.bit_length() - 1
+        else:
+            node = next_internal
+            next_internal += 1
+            s1, s2 = split(mask)
+            stack += [(s2, node), (s1, node)]
+        if parent < 0:
+            root_edge.append(node)
+        else:
+            edges.append((parent, node))
+    edges.append(tuple(root_edge))
     return BranchDecomposition(next_internal, edges, {i: i for i in range(n)})
 
 

@@ -180,19 +180,19 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
 
 class BipartiteCutGraph:
     """Crossing edges of a cut as bitmasks: ``x_mask`` and ``y_mask`` are the
-    two sides, and ``nbr[v]`` is the mask of v's neighbours on the other
-    side.  The neighbour masks are symmetric, so swapping the two side masks
-    gives the same cut seen from Y."""
+    two sides, and ``nbr`` is a list of neighbour masks held by reference
+    (for a cut of a graph, the graph's own).  Only the bits of ``nbr[v]`` on
+    the other side of the cut count: every search ANDs ``nbr[x]`` with
+    candidates inside the other side, and ``~nbr[x]`` serves the bipartite
+    complement.  Swapping the two side masks gives the same cut seen from
+    Y."""
 
     __slots__ = ("x_mask", "y_mask", "nbr")
 
-    def __init__(self, x_mask: int, y_mask: int, adj: Sequence[int]):
-        """``adj[v]`` is a neighbour mask of v; only the part across the cut
-        is kept."""
+    def __init__(self, x_mask: int, y_mask: int, nbr: Sequence[int]):
         self.x_mask = x_mask
         self.y_mask = y_mask
-        self.nbr = [a & y_mask if x_mask >> v & 1 else a & x_mask if y_mask >> v & 1 else 0
-                    for v, a in enumerate(adj)]
+        self.nbr = nbr
 
     @property
     def x_vertices(self) -> tuple[int, ...]:
@@ -205,9 +205,10 @@ class BipartiteCutGraph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x in self.x_vertices
-                         for y in set_of(self.nbr[x]))
+                         for y in set_of(self.nbr[x] & self.y_mask))
 
     def has_edge(self, x: int, y: int) -> bool:
+        """Defined only for x and y on opposite sides of the cut."""
         return bool(self.nbr[x] >> y & 1)
 
     def complement(self) -> "BipartiteCutGraph":

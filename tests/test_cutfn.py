@@ -327,6 +327,18 @@ def test_value_below_bounds_then_exact_on_a_larger_cap():
                     assert first >= 2
                 # a pattern value is at most n / 2 < 6; ntc takes no cap
                 assert ev.value_below(mask, sel, 6) == exact
+        # per family: a capped lookup is the exact answer or, at the cap, a
+        # bare bound; a later uncapped lookup is the plain search's answer
+        # on the cut seen from its smaller side mask, the evaluator's key
+        ev = CutEvaluator(g)
+        for mask in range(1 << g.n):
+            b = cut_graph(g, set_of(min(mask, (1 << g.n) - 1 ^ mask)))
+            for family in FAMILY_ORDER:
+                exact = family_value(b, family)
+                value, witness = ev.family_value_of_mask(mask, family, 2)
+                assert ((value, witness) == exact
+                        or exact[0] >= 2 and value >= 2 and witness is None)
+                assert ev.family_value_of_mask(mask, family) == exact
 
 
 def test_width_through_a_capped_evaluator_matches_a_fresh_one():

@@ -485,6 +485,13 @@ def test_dp_solves_disconnected_graph_beyond_size_limit():
         assert w == component_law_expected(g, parts, sel) == decomposition_width(bd, g, sel).width
 
 
+def test_tree_from_splits_builds_a_deep_tree_without_recursion():
+    # splitting off the lowest vertex each time gives a tree 1,200 levels
+    # deep, as a disconnected graph's component-by-component splits do
+    bd = decomp._tree_from_splits(1200, lambda m: (m & -m, m ^ (m & -m)))
+    validate_decomposition(bd, Graph(1200))
+
+
 def test_text_roundtrip():
     _, bd = exact_branchwidth_dp(cycle(5), MATCH)
     text = decomposition_to_text(bd)
