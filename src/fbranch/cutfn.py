@@ -18,6 +18,11 @@ below their incumbent width, so ``CutEvaluator.value_below`` passes the
 incumbent as the cap; its cache keeps a value with its witness when it
 is exact and a lower bound otherwise.
 
+The twin-class count needs no search.  ``ntc_table`` fills the value of
+every mask at once, bit-sliced (each mask is one bit of 2^n-bit integers),
+for the subset-DP solver; ``_ntc_cut_value`` evaluates one cut for
+``CutEvaluator`` and is the table's reference.
+
 ``generic_pattern_value`` is the independent oracle: a plain exhaustive
 search over ordered partner selections that shares nothing with the engine
 (no complement tricks, no incumbent pruning).
@@ -283,7 +288,8 @@ def family_value(b: BipartiteCutGraph, family: Family, cap: float = math.inf
 def _ntc_cut_value(adj: list[int], mask: int, rest: int) -> int:
     """The twin-class cut value of (mask, rest): the larger of the two
     sides' class counts, a side's vertices being classed by their
-    neighbourhood on the other side; one pass over the vertices."""
+    neighbourhood on the other side; one pass over the vertices.  The
+    reference for ``ntc_table``."""
     xs: set[int] = set()
     ys: set[int] = set()
     for v, nbrs in enumerate(adj):
@@ -302,6 +308,60 @@ def ntc_value(g: Graph, side_x: Iterable[int]) -> int:
     rest = ((1 << g.n) - 1) ^ x
     adj = _adjacency_masks(g)
     return len({adj[v] & rest for v in range(g.n) if x >> v & 1})
+
+
+_BIT = [bytes(x >> b & 1 for x in range(256)) for b in range(8)]  # byte -> its bit b
+_NIBBLE_MAX = bytes(max(x & 15, x >> 4) for x in range(256))
+
+
+def ntc_table(g: Graph) -> bytes:
+    """The twin-class cut value of every mask, indexed by the mask.
+
+    Bit-sliced: mask m is bit m of 2^n-bit integers, so one integer
+    operation acts on every mask at once.  ``holds[i]`` has bit m set when
+    m holds vertex i.  Two vertices u, v of X are twins across the cut
+    exactly when X holds T = (adj[u] ^ adj[v]) | u | v, so X's class count
+    is the number of its vertices with no earlier twin in X.  Those
+    indicators are summed into four binary digits (a side has at most
+    min(|X|, 2^(n - |X|)) classes, at most 15 for n <= 19).  The digits are
+    spread to one byte per mask, each byte takes the complement's count
+    (the byte string reversed) as its high half, and the larger half is
+    the value.
+    """
+    adj = _adjacency_masks(g)
+    size = 1 << g.n
+    holds = []
+    for i in range(g.n):
+        block, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while span < size:  # repeat the block of 2^i masks without i, 2^i with
+            block |= block << span
+            span <<= 1
+        holds.append(block)
+    digits = [0] * 4
+    for u, hu in enumerate(holds):
+        twinned = 0
+        for v in range(u):
+            both = hu & holds[v]
+            rest = (adj[u] ^ adj[v]) & ~(1 << u | 1 << v)
+            while rest and both:
+                both &= holds[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            twinned |= both
+        carry = hu & ~twinned
+        for k in range(4):
+            digits[k], carry = digits[k] ^ carry, digits[k] & carry
+        assert not carry, "a side's class count fits four binary digits"
+    # an n < 3 table spreads one byte of masks, the ones past 2^n counting 0
+    nbytes = (size + 7) >> 3
+    spread = bytearray(nbytes << 3)
+    counts = 0
+    for k, digit in enumerate(digits):
+        raw = digit.to_bytes(nbytes, "little")
+        for b, bit in enumerate(_BIT):
+            spread[b::8] = raw.translate(bit)
+        counts |= int.from_bytes(spread, "little") << k
+    rest_counts = int.from_bytes(counts.to_bytes(size, "little")[::-1], "little")
+    return (counts | rest_counts << 4).to_bytes(size, "little").translate(_NIBBLE_MAX)
 
 
 ORACLE_MAX_VERTICES = 24
@@ -409,16 +469,6 @@ class CutEvaluator:
                     return value
                 best = max(best, value)
         return best
-
-    def ntc_table(self) -> bytes:
-        """The twin-class cut value of every mask, indexed by the mask.
-        Only the masks without the top vertex are evaluated: the others are
-        their complements, which run through the first half in reverse."""
-        full = self._full
-        if not full:
-            return bytes(1)  # the empty graph's one cut, of value 0
-        half = bytes(_ntc_cut_value(self._adj, m, full ^ m) for m in range((full + 1) >> 1))
-        return half + half[::-1]
 
     def value_of(self, side_x: Iterable[int], sel: FamilySelector) -> tuple[int, PatternWitness]:
         return self.value_of_mask(mask_of(side_x), sel)

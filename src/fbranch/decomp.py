@@ -24,13 +24,17 @@ from functools import cache
 from itertools import compress, filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
-from .cutfn import CutEvaluator, FamilySelector, PatternWitness
+from .cutfn import CutEvaluator, FamilySelector, PatternWitness, ntc_table
 from .errors import DecompositionError, MalformedLineError, SizeLimitError, ValidationError
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
+# a side of an ntc cut has at most min(|X|, 2^(n - |X|)) twin classes, at
+# most 11 at n = 15 and 15 for n <= 19: cutfn.ntc_table counts in 4 bits
 DP_MAX_N = 15  # 2^n-entry tables (values, bounds, splits); a split search may walk 2^|S| submasks
-GREEDY_MAX_N = 40  # each split's swap search evaluates up to n^2 / 4 cuts per swap
+# greedy: each split's swap search evaluates up to n^2 / 4 cuts per swap;
+# width: each cut search is exponential in the cut
+GREEDY_MAX_N = 40
 
 
 class BranchDecomposition:
@@ -143,7 +147,17 @@ class WidthReport:
 
 def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
                         evaluator: CutEvaluator | None = None) -> WidthReport:
-    """Evaluate the cut function on every tree edge; width is the maximum."""
+    """Evaluate the cut function on every tree edge; width is the maximum.
+    Limited to GREEDY_MAX_N vertices, counted per connected component for
+    a primal union, so that the trees the dp solver builds component by
+    component still re-evaluate."""
+    size = g.n
+    if size > GREEDY_MAX_N and sel.is_primal_union():
+        size = max(map(len, connected_components(g)))
+    if size > GREEDY_MAX_N:
+        where = " per component" if sel.is_primal_union() else ""
+        raise SizeLimitError(
+            f"width evaluation limited to {GREEDY_MAX_N} vertices{where}, got {size}")
     validate_decomposition(bd, g)
     ev = evaluator if evaluator is not None else CutEvaluator(g)
     per_edge: dict[tuple[int, int], tuple[int, PatternWitness]] = {}
@@ -290,11 +304,11 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     looks at splits whose two cut values are below its incumbent.
     Pattern-family values are evaluated lazily, with the incumbent as
     their cap, while the search steps through the submasks of S.
-    Twin-class values are cheap, so their whole table is built first; a
-    search then walks only the masks whose value is below the incumbent,
-    and the root starts from the balanced-edge lower bound.  Every decision
-    compares a cut value with the incumbent, so the splits stay those of
-    the full table."""
+    Twin-class values of all masks come first, from one bit-sliced fill
+    (``cutfn.ntc_table``); a search then walks only the masks whose value
+    is below the incumbent, and the root starts from the balanced-edge
+    lower bound.  Every decision compares a cut value with the incumbent,
+    so the splits stay those of the full table."""
     n = g.n
     full = (1 << n) - 1
     top = n + 1  # above every cut value
@@ -305,7 +319,7 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     # Symmetric: vals[m] == vals[full ^ m].
     value_below = evaluator.value_below
     if sel.ntc:
-        vals = evaluator.ntc_table()
+        vals = ntc_table(g)
     else:
         vals = [-1] * (full + 1)
         for v in range(n):

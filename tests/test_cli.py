@@ -217,6 +217,73 @@ def test_solve_greedy_over_limit_exit_code(tmp_path, capsys):
     assert out == "" and str(GREEDY_MAX_N) in err
 
 
+def caterpillar(n):
+    """Decomposition text of the caterpillar on n >= 3 leaves: internal node
+    n + i holds leaf i + 1; leaf 0 hangs on the first, leaf n - 1 on the last."""
+    spine = list(range(n, 2 * n - 2))
+    edges = list(zip(spine, spine[1:])) + [(spine[0], 0), (spine[-1], n - 1)]
+    edges += [(spine[i - 1], i) for i in range(1, n - 1)]
+    return "\n".join([f"tree {2 * n - 2}"] + [f"t {u} {v}" for u, v in edges]
+                     + [f"leaf {v} {v}" for v in range(n)]) + "\n"
+
+
+def paths(count, length):
+    """``count`` disjoint paths of ``length`` vertices, as graph text."""
+    edges = [(p * length + i, p * length + i + 1)
+             for p in range(count) for i in range(length - 1)]
+    return f"{count * length} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def test_width_over_limit_exit_code(tmp_path, capsys, monkeypatch):
+    def no_cuts(*args):
+        raise AssertionError("a cut was evaluated")
+
+    monkeypatch.setattr(fbranch.cutfn.CutEvaluator, "value_of", no_cuts)
+    n = GREEDY_MAX_N + 1
+    tree = tmp_path / "cat.tree"
+    tree.write_text(caterpillar(n))
+    big = tmp_path / "path.txt"
+    big.write_text(paths(1, n))
+    # a connected graph past the limit, under a primal union and under all
+    for families in ("match", "all"):
+        code, out, err = run(capsys, "width", "--graph", str(big), "--decomp", str(tree),
+                             "--families", families)
+        assert_one_error_line(code, err)
+        assert out == "" and str(GREEDY_MAX_N) in err
+    # components count only for a primal union: isolated vertices under empty
+    split = tmp_path / "isolated.txt"
+    split.write_text(paths(n, 1))
+    code, out, err = run(capsys, "width", "--graph", str(split), "--decomp", str(tree),
+                         "--families", "empty")
+    assert_one_error_line(code, err)
+    assert out == "" and str(n) in err
+
+
+def test_width_within_limit_reevaluates_solver_trees(tmp_path, capsys):
+    # a connected graph at the limit under all families
+    at = tmp_path / "path.txt"
+    at.write_text(paths(1, GREEDY_MAX_N))
+    cat = tmp_path / "cat.tree"
+    cat.write_text(caterpillar(GREEDY_MAX_N))
+    code, out, _ = run(capsys, "width", "--graph", str(at), "--decomp", str(cat),
+                       "--families", "all")
+    assert code == 0 and out.startswith("width ")
+    # past the limit in all, within it per component: the dp solver's tree
+    # of a primal union re-evaluates, under all it is refused
+    big = tmp_path / "paths.txt"
+    big.write_text(paths(9, 5))
+    tree = tmp_path / "paths.tree"
+    code, out, _ = run(capsys, "solve", "--graph", str(big), "--families", "primal",
+                       "--out-decomp", str(tree))
+    assert code == 0 and out.startswith("width 1 ")
+    code, out, _ = run(capsys, "width", "--graph", str(big), "--decomp", str(tree),
+                       "--families", "primal")
+    assert code == 0 and out.startswith("width 1 ")
+    code, out, err = run(capsys, "width", "--graph", str(big), "--decomp", str(tree),
+                         "--families", "all")
+    assert_one_error_line(code, err)
+
+
 def test_width_non_integer_tree_line_exit_code(c6, tmp_path, capsys):
     bad = tmp_path / "bad.tree"
     bad.write_text("tree 2\nt 0 x\nleaf 0 0\nleaf 1 1\n")

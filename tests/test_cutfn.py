@@ -10,15 +10,17 @@ from fbranch.cutfn import (
     CutEvaluator,
     FamilySelector,
     PatternWitness,
+    _ntc_cut_value,
     family_value,
     generic_pattern_value,
+    ntc_table,
     ntc_value,
     validate_witness,
 )
 from fbranch.decomp import decomposition_width, exact_branchwidth_dp, greedy_branchwidth
 from fbranch.errors import SizeLimitError
 from fbranch.families import FAMILY_ORDER, Family, pattern_edges
-from fbranch.graph import Graph, cut_graph, set_of
+from fbranch.graph import Graph, _adjacency_masks, cut_graph, set_of
 
 
 def cycle(n):
@@ -189,18 +191,28 @@ def test_ntc_table_matches_per_mask_values():
     ntc = FamilySelector.parse("ntc")
     rng = random.Random(53)
     graphs = [g for n in range(7) for g in all_graph_classes(n)]
-    for n in (0, 1, 7, 8):
+    for n in (0, 1, 2, 3, 7, 8):  # n < 3 pads below one byte of masks
         graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
                                 if rng.random() < 0.5]))
     for g in graphs:
         ev = CutEvaluator(g)
-        table = ev.ntc_table()
+        table = ntc_table(g)
         full = (1 << g.n) - 1
         assert len(table) == full + 1, g
         for m in range(full + 1):
             xs = set_of(m)
             two_sided = max(ntc_value(g, xs), ntc_value(g, set(range(g.n)) - xs))
             assert table[m] == ev.value_below(m, ntc, g.n + 1) == two_sided, (g, m)
+    # the solver's sizes, and X = {0..10} with pairwise distinct
+    # neighbourhoods among the other four: 11 classes set the top digit
+    big = [Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+           for n in (14, 15)]
+    big.append(Graph(15, [(x, 11 + i) for x in range(11) for i in range(4) if (x + 1) >> i & 1]))
+    for g in big:
+        adj = _adjacency_masks(g)
+        full = (1 << g.n) - 1
+        assert ntc_table(g) == bytes(_ntc_cut_value(adj, m, full ^ m) for m in range(full + 1))
+    assert ntc_table(big[-1])[(1 << 11) - 1] == 11
 
 
 def test_generic_oracle_trivial_cases():
