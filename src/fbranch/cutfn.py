@@ -157,7 +157,9 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     """Largest induced matching: x_i adjacent to y_j exactly when i == j.
     A chosen pair (x, y) drops y's neighbours from the x candidates and x's
     from the y candidates; x extends in ascending order, so every matching
-    is met once."""
+    is met once.  An x adjacent to every y candidate ends any matching it
+    joins one pair deeper, so once that cannot beat the best it is
+    skipped (on a complete cut this keeps the search linear)."""
     nbr = b.nbr
     best: tuple[tuple[int, int], ...] = ()
     pairs: list[tuple[int, int]] = []
@@ -173,13 +175,16 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
             bit = cand_x & -cand_x
             cand_x ^= bit
             x = bit.bit_length() - 1
-            ys = nbr[x] & cand_y
+            rest_y = cand_y & ~nbr[x]
+            if not rest_y and depth < len(best):
+                continue
+            ys = cand_y ^ rest_y
             while ys:
                 y_bit = ys & -ys
                 ys ^= y_bit
                 y = y_bit.bit_length() - 1
                 pairs.append((x, y))
-                extend(cand_x & ~nbr[y], cand_y & ~nbr[x])
+                extend(cand_x & ~nbr[y], rest_y)
                 pairs.pop()
 
     try:

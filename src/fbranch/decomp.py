@@ -8,9 +8,10 @@ Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
 builder turns that into a tree.  The exact solvers are a full enumerator
 over split hierarchies and a subset-split dynamic program, searched top
-down with branch and bound.  Under pattern families it evaluates each cut
-only as far as its incumbent width needs; under the twin-class count it
-builds the whole value table and visits only the splits whose cuts are
+down with branch and bound over one byte table of lower bounds on the cut
+values.  Twin-class values fill it at once; pattern-family values are
+evaluated lazily, each only as far as the incumbent width needs.  One
+split loop serves both and visits only the splits whose two bounds are
 below the incumbent.  The two solvers agree by construction on any
 symmetric cut function and cross-check each other in the test suite.
 """
@@ -29,9 +30,11 @@ from .errors import DecompositionError, MalformedLineError, SizeLimitError, Vali
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
-# a side of an ntc cut has at most min(|X|, 2^(n - |X|)) twin classes, at
-# most 11 at n = 15 and 15 for n <= 19: cutfn.ntc_table counts in 4 bits
-DP_MAX_N = 15  # 2^n-entry tables (values, bounds, splits); a split search may walk 2^|S| submasks
+# the dp keeps 2^n-entry tables: a byte per mask for value bounds, exact
+# marks and width bounds, and a list of splits; a split search may walk
+# 2^|S| submasks.  A side of an ntc cut has at most min(|X|, 2^(n - |X|))
+# twin classes, 11 at n = 15 and 15 for n <= 19: cutfn.ntc_table counts in 4 bits
+DP_MAX_N = 15
 # greedy: each split's swap search evaluates up to n^2 / 4 cuts per swap;
 # width: each cut search is exponential in the cut
 GREEDY_MAX_N = 40
@@ -302,44 +305,43 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     ascending.  Searched top down with branch and bound: solve(S, bound)
     is best(S) if below bound, else a lower bound >= bound, and it only
     looks at splits whose two cut values are below its incumbent.
-    Pattern-family values are evaluated lazily, with the incumbent as
-    their cap, while the search steps through the submasks of S.
-    Twin-class values of all masks come first, from one bit-sliced fill
-    (``cutfn.ntc_table``); a search then walks only the masks whose value
-    is below the incumbent, and the root starts from the balanced-edge
+
+    One table serves every selector: ``vals[m]`` is a lower bound on f(m),
+    exact where ``exact[m]`` is set.  Twin-class values all come first,
+    exact, from one bit-sliced fill (``cutfn.ntc_table``); pattern-family
+    values are evaluated lazily, capped at the incumbent.  One loop walks
+    the candidate sides S1 ascending, taken from the masks below the
+    incumbent (twin classes) or from the submasks of S holding its lowest
+    vertex (pattern families).  The root starts from the balanced-edge
     lower bound.  Every decision compares a cut value with the incumbent,
     so the splits stay those of the full table."""
     n = g.n
     full = (1 << n) - 1
-    top = n + 1  # above every cut value
-
-    # the value table.  Twin-class values are all filled in first; pattern
-    # values are filled lazily and only as far as the incumbent needs: an
-    # entry >= 0 is f(m), -1 - lb means f(m) is unknown and at least lb.
-    # Symmetric: vals[m] == vals[full ^ m].
+    top = n + 1  # above every cut value, so every value and bound fits a byte
     value_below = evaluator.value_below
-    if sel.ntc:
-        vals = ntc_table(g)
-    else:
-        vals = [-1] * (full + 1)
-        for v in range(n):
-            vals[1 << v] = vals[full ^ 1 << v] = value_below(1 << v, sel, top)
-    split = [0] * (full + 1)
 
     def resolve(m: int, cap: int) -> int:
-        """f(m) if below cap, else a lower bound >= cap."""
-        lb = -1 - vals[m]
-        if lb >= cap:
-            return lb
-        value = value_below(m, sel, cap)
-        vals[m] = vals[full ^ m] = value if value < cap else -1 - value
+        """f(m) if below cap, else a lower bound >= cap; stored on m and on
+        its complement (the cut function is symmetric)."""
+        value = vals[m] = vals[full ^ m] = value_below(m, sel, cap)
+        if value < cap:
+            exact[m] = exact[full ^ m] = 1
         return value
+
+    if sel.ntc:
+        vals = ntc_table(g)
+        exact = b"\1" * (full + 1)
+    else:
+        vals = bytearray(full + 1)
+        exact = bytearray(full + 1)
+        for v in range(n):
+            resolve(1 << v, top)
+    split = [0] * (full + 1)
 
     # low[m] is a lower bound on best(m), exact once split[m] is set; a
     # rooted tree on m cuts off each vertex of m, so the first visit starts
     # it at m's largest singleton value: that of the first bit of m in
-    # ``singles``, the vertex bits by decreasing value.  Every bound is at
-    # most top, so a byte holds it.
+    # ``singles``, the vertex bits by decreasing value
     low = bytearray(full + 1)
     singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
 
@@ -349,6 +351,26 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
         is_below = bytes(map(w.__gt__, range(256)))  # value v -> v < w
         return array("I", compress(range(full + 1), vals.translate(is_below)))
 
+    def below_window(s: int, after: int, inc: int) -> Iterator[int]:
+        # the splits of s that can pass lie in below(inc): walk them from
+        # just after ``after`` (islice, not a slice: a copy would stay
+        # alive down the recursion)
+        masks = below(inc)
+        window = islice(masks, bisect_right(masks, after), bisect_left(masks, s))
+        return filter((s & -s).__and__, filterfalse((full ^ s).__and__, window))
+
+    def submasks(s: int, after: int, inc: int) -> Iterator[int]:
+        # bit | t for the submasks t of rest ascending (t == rest excluded:
+        # s2 would be empty); bit in every s1 keeps the splits unordered
+        bit = s & -s
+        rest = s ^ bit
+        t = ((after ^ bit) - rest) & rest if after else 0
+        while t != rest:
+            yield bit | t
+            t = (t - rest) & rest
+
+    candidates = below_window if sel.ntc else submasks
+
     def solve(s: int, bound: int) -> int:
         lo = low[s]
         if split[s]:
@@ -357,46 +379,17 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
             lo = low[s] = vals[next(filter(s.__and__, singles))]
         if lo >= bound:
             return lo
-        bit = s & -s
         inc = bound
-        if sel.ntc:
-            # the splits of s are its submasks s1 holding bit, s1 != s;
-            # only those in below(inc) can pass, so walk them there in
-            # ascending order, and when the incumbent drops resume in the
-            # smaller list just after the split that lowered it (islice, not
-            # a slice: a copy would stay alive down the recursion)
-            out = full ^ s
-            s1 = 0
-            while inc > lo:
-                masks = below(inc)
-                window = islice(masks, bisect_right(masks, s1), bisect_left(masks, s))
-                for s1 in filter(bit.__and__, filterfalse(out.__and__, window)):
-                    s2 = s ^ s1
-                    if vals[s2] < inc:
-                        val = max(vals[s1], vals[s2])
-                        if val < inc and s1 & (s1 - 1):
-                            val = max(val, solve(s1, inc))
-                        if val < inc and s2 & (s2 - 1):
-                            val = max(val, solve(s2, inc))
-                        if val < inc:
-                            inc = val
-                            split[s] = s1
-                            break
-                else:
-                    break
-        else:
-            rest = s ^ bit
-            # submasks t of rest ascending (t == rest excluded: s2 would be
-            # empty); s1 = bit | t keeps the splits unordered
-            t = 0
-            while t != rest:
-                s1 = bit | t
+        s1 = 0
+        # each pass resumes just after the split that last lowered the
+        # incumbent and ends at the next one
+        while inc > lo:
+            for s1 in candidates(s, s1, inc):
                 s2 = s ^ s1
                 if vals[s1] < inc and vals[s2] < inc:
-                    # unknown entries are negative, so they pass the test above
-                    val = vals[s1] if vals[s1] >= 0 else resolve(s1, inc)
+                    val = vals[s1] if exact[s1] else resolve(s1, inc)
                     if val < inc:
-                        val = max(val, vals[s2] if vals[s2] >= 0 else resolve(s2, inc))
+                        val = max(val, vals[s2] if exact[s2] else resolve(s2, inc))
                     if val < inc and s1 & (s1 - 1):
                         val = max(val, solve(s1, inc))
                     if val < inc and s2 & (s2 - 1):
@@ -404,25 +397,24 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
                     if val < inc:
                         inc = val
                         split[s] = s1
-                        if inc <= lo:
-                            break
-                t = (t - rest) & rest
+                        break
+            else:
+                break
         low[s] = inc
         return inc
 
     if n <= 1:
         return 0, split
-    if sel.ntc:
-        # every tree has an edge with between n/3 and 2n/3 vertices on
-        # each side, so no width is below the least value of such a cut:
-        # the value of the first balanced mask met, scanning values upwards
-        for floor in range(top):
-            m = vals.find(floor)
-            while m >= 0 and not n <= 3 * m.bit_count() <= 2 * n:
-                m = vals.find(floor, m + 1)
-            if m >= 0:
-                break
-        low[full] = max(vals[singles[0]], floor)
+    # every tree has an edge with between n/3 and 2n/3 vertices on each
+    # side, so no width is below the least bound of such a cut: the bound
+    # of the first balanced mask met, scanning bounds upwards
+    for floor in range(top):
+        m = vals.find(floor)
+        while m >= 0 and not n <= 3 * m.bit_count() <= 2 * n:
+            m = vals.find(floor, m + 1)
+        if m >= 0:
+            break
+    low[full] = max(vals[singles[0]], floor)
     return solve(full, top), split
 
 

@@ -334,11 +334,10 @@ def suite_typ_bounds(seed: int = 0, law_count: int = 10000,
     for _ in range(interleave_count):
         s = typical_of(tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5))))
         t = typical_of(tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5))))
-        cap = len(s) + len(t)
         res.tested += 1
-        if interleave(s, t, max_length=cap) != interleave(s, t, max_length=2 * cap):
+        if interleave(s, t) != interleave(t, s):
             res.violations.append({"s": list(s), "t": list(t),
-                                   "error": "interleave changed under doubled cap"})
+                                   "error": "interleave not commutative"})
     return res
 
 

@@ -68,8 +68,7 @@ def test_criterion_07_fes_kernel_safety():
 
 def test_criterion_08_typical_sequences():
     # enumeration bounds for k <= 4; compression laws on 10,000 seeded
-    # sequences; interleaving stable under doubling the extension cap on
-    # 500 seeded pairs
+    # sequences; interleaving commutative on 500 seeded pairs
     _check(suite_typ_bounds(seed=0, law_count=10000, interleave_count=500, max_k=4))
 
 

@@ -20,7 +20,7 @@ from fbranch.cutfn import (
 from fbranch.decomp import decomposition_width, exact_branchwidth_dp, greedy_branchwidth
 from fbranch.errors import SizeLimitError
 from fbranch.families import FAMILY_ORDER, Family, pattern_edges
-from fbranch.graph import Graph, _adjacency_masks, cut_graph, set_of
+from fbranch.graph import BipartiteCutGraph, Graph, _adjacency_masks, cut_graph, set_of
 
 
 def cycle(n):
@@ -55,6 +55,26 @@ def test_antimatch_examples():
     assert n == 1 and validate_witness(b, w)
     b3 = pattern_cut(Family.ANTIMATCH, 3)
     assert family_value(b3, Family.ANTIMATCH)[0] == 3
+
+
+class _CountingList(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_matching_search_on_a_complete_cut_is_linear():
+    # every pair of a complete cut ends the matching, so after the first
+    # one no x can do better: the search reads each neighbour mask a few
+    # times, not once per (x, y) pair (3,600 pairs here)
+    a = b = 60
+    x_mask, y_mask = (1 << a) - 1, ((1 << b) - 1) << a
+    nbr = _CountingList([y_mask] * a + [x_mask] * b)
+    value, witness = family_value(BipartiteCutGraph(x_mask, y_mask, nbr), Family.MATCH)
+    assert value == 1 and witness.pairs == ((0, a),)
+    assert nbr.reads <= 3 * (a + b)
 
 
 def test_chain_examples():

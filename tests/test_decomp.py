@@ -372,24 +372,34 @@ def test_dp_matches_bottom_up_oracle(monkeypatch):
             (g, sel.name())
 
 
-def test_ntc_dp_matches_bottom_up_oracle_on_larger_graphs(monkeypatch):
-    # connected graphs shaped like the benchmark's twin-class solves, where
-    # the split search walks candidate lists and the root starts from the
-    # balanced-edge bound
-    ntc = FamilySelector.parse("ntc")
-    rng = random.Random(11)
+def _connected_graphs(rng, n, p, count):
     graphs = []
-    while len(graphs) < 24:
-        n = 11 + len(graphs) % 2
-        p = 0.3 + 0.1 * (len(graphs) // 2 % 4)
+    while len(graphs) < count:
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
         if len(connected_components(g)) == 1:
             graphs.append(g)
-    got = [exact_branchwidth_dp(g, ntc) for g in graphs]
+    return graphs
+
+
+def test_dp_matches_bottom_up_oracle_on_larger_graphs(monkeypatch):
+    # connected graphs shaped like the benchmark's exact solves: twin-class
+    # solves at n 11-12, whose split search walks candidate lists, and the
+    # four pattern-family slots, whose cuts are evaluated lazily under the
+    # incumbent; every root starts from the balanced-edge bound
+    ntc = FamilySelector.parse("ntc")
+    rng = random.Random(11)
+    cases = [(g, ntc) for i in range(24)
+             for g in _connected_graphs(rng, 11 + i % 2, 0.3 + 0.1 * (i // 2 % 4), 1)]
+    for text, n, p in (("match", 12, 0.2), ("primal", 12, 0.3), ("all", 11, 0.4),
+                       ("chain,chainstrict", 11, 0.6)):
+        sel = FamilySelector.parse(text)
+        cases += [(g, sel) for g in _connected_graphs(rng, n, p, 2)]
+    got = [exact_branchwidth_dp(g, sel) for g, sel in cases]
     monkeypatch.setattr(decomp, "_dp_splits", _bottom_up_splits)
-    expected = [exact_branchwidth_dp(g, ntc) for g in graphs]
-    for g, (w, bd), (w_old, bd_old) in zip(graphs, got, expected):
-        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), g
+    expected = [exact_branchwidth_dp(g, sel) for g, sel in cases]
+    for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
+        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
+            (g, sel.name())
 
 
 def _uncapped_balanced_split(ev, sel, mask):
