@@ -158,8 +158,9 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     A chosen pair (x, y) drops y's neighbours from the x candidates and x's
     from the y candidates; x extends in ascending order, so every matching
     is met once.  An x adjacent to every y candidate ends any matching it
-    joins one pair deeper, so once that cannot beat the best it is
-    skipped (on a complete cut this keeps the search linear)."""
+    joins one pair deeper: it is skipped once that cannot beat the best,
+    and otherwise only its first y is tried, since a later y could only
+    tie (on a complete cut this keeps the search linear)."""
     nbr = b.nbr
     best: tuple[tuple[int, int], ...] = ()
     pairs: list[tuple[int, int]] = []
@@ -176,9 +177,12 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
             cand_x ^= bit
             x = bit.bit_length() - 1
             rest_y = cand_y & ~nbr[x]
-            if not rest_y and depth < len(best):
+            if rest_y:
+                ys = cand_y ^ rest_y
+            elif depth < len(best):
                 continue
-            ys = cand_y ^ rest_y
+            else:
+                ys = cand_y & -cand_y
             while ys:
                 y_bit = ys & -ys
                 ys ^= y_bit

@@ -6,14 +6,16 @@ mapped bijectively onto the graph's vertices; removing a tree edge splits
 the leaves, hence the vertices, into the cut evaluated by the cut function.
 Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
-builder turns that into a tree.  The exact solvers are a full enumerator
-over split hierarchies and a subset-split dynamic program, searched top
-down with branch and bound over one byte table of lower bounds on the cut
-values.  Twin-class values fill it at once; pattern-family values are
-evaluated lazily, each only as far as the incumbent width needs.  One
-split loop serves both and visits only the splits whose two bounds are
-below the incumbent.  The two solvers agree by construction on any
-symmetric cut function and cross-check each other in the test suite.
+builder turns that into a tree; one walk of a tree gives every edge's
+side.  The exact solvers are a full enumerator over split hierarchies
+and a subset-split dynamic program, searched top down with branch and
+bound over one byte table of lower bounds on the cut values.  Twin-class
+values fill it at once; pattern-family values are evaluated lazily, each
+only as far as the incumbent width needs.  One split loop serves both
+and visits only the splits whose two bounds are below the incumbent.
+For primal unions the dynamic program runs per component, and the
+component law gives the width.  The two solvers agree by construction on
+any symmetric cut function and cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable, Iterable, Iterator
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness, ntc_table
 from .errors import DecompositionError, MalformedLineError, SizeLimitError, ValidationError
+from .families import Family
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
@@ -84,15 +87,7 @@ def validate_decomposition(bd: BranchDecomposition, g: Graph) -> None:
         raise DecompositionError(
             f"a tree on {n_nodes} nodes needs {n_nodes - 1} edges, got {len(bd.edges)}")
     # connectivity (with the right edge count this also implies acyclicity)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in bd.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n_nodes:
+    if len(_edge_sides(bd.adjacency, 0, {})) != n_nodes - 1:
         raise DecompositionError("not connected, hence not a tree")
     for v in range(n_nodes):
         if len(bd.adjacency[v]) > 3:
@@ -106,27 +101,36 @@ def validate_decomposition(bd: BranchDecomposition, g: Graph) -> None:
         raise DecompositionError("leaf map must be a bijection onto the vertices")
 
 
-def edge_cut(bd: BranchDecomposition, e: tuple[int, int]) -> frozenset[int]:
-    """Vertices mapped into the component of ``bd - e`` that holds the leaf
-    of the smallest graph vertex."""
-    e = (min(e), max(e))
-    if e not in bd.edges:
-        raise DecompositionError(f"unknown tree edge {e}")
-    u, v = e
-    side: set[int] = set()
-    stack = [u]
-    seen = {u, v}
-    while stack:
-        x = stack.pop()
-        if x in bd.leaf_map:
-            side.add(bd.leaf_map[x])
-        for w in bd.adjacency[x]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    other = frozenset(bd.leaf_map.values()) - side
-    low = min(bd.leaf_map.values())
-    return frozenset(side) if low in side else other
+def _edge_sides(adjacency: dict[int, set[int]], root: int,
+                weights: dict[int, int]) -> dict[tuple[int, int], int]:
+    """Every tree edge (min, max) reachable from ``root``, mapped to the
+    summed weight of its side away from ``root``, by one breadth-first walk."""
+    parent = {root: root}
+    order = [root]
+    for u in order:
+        for w in adjacency[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    acc = {v: weights.get(v, 0) for v in order}
+    sides = {}
+    for v in reversed(order[1:]):
+        u = parent[v]
+        acc[u] += acc[v]
+        sides[(u, v) if u < v else (v, u)] = acc[v]
+    return sides
+
+
+def edge_cuts(bd: BranchDecomposition) -> dict[tuple[int, int], int]:
+    """Every tree edge's cut as a vertex mask: the side of ``bd - e`` that
+    holds the smallest vertex's leaf.  ``bd`` must be valid, so that the
+    leaf bits summed on a side are its mask."""
+    if not bd.leaf_map:
+        return {}
+    root = min(bd.leaf_map, key=bd.leaf_map.__getitem__)
+    weights = {node: 1 << v for node, v in bd.leaf_map.items()}
+    full = sum(weights.values())
+    return {e: full ^ side for e, side in _edge_sides(bd.adjacency, root, weights).items()}
 
 
 @dataclass
@@ -150,10 +154,11 @@ class WidthReport:
 
 def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
                         evaluator: CutEvaluator | None = None) -> WidthReport:
-    """Evaluate the cut function on every tree edge; width is the maximum.
-    Limited to GREEDY_MAX_N vertices, counted per connected component for
-    a primal union, so that the trees the dp solver builds component by
-    component still re-evaluate."""
+    """Evaluate the cut function on every tree edge, each cut read from
+    one ``edge_cuts`` walk; width is the maximum.  Limited to GREEDY_MAX_N
+    vertices, counted per connected component for a primal union, so that
+    ``solve`` can still check the trees the dp solver builds component by
+    component."""
     size = g.n
     if size > GREEDY_MAX_N and sel.is_primal_union():
         size = max(map(len, connected_components(g)))
@@ -163,11 +168,12 @@ def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
             f"width evaluation limited to {GREEDY_MAX_N} vertices{where}, got {size}")
     validate_decomposition(bd, g)
     ev = evaluator if evaluator is not None else CutEvaluator(g)
+    cuts = edge_cuts(bd)
     per_edge: dict[tuple[int, int], tuple[int, PatternWitness]] = {}
     width = 0
     argmax = None
     for e in bd.edges:
-        value, witness = ev.value_of(edge_cut(bd, e), sel)
+        value, witness = ev.value_of_mask(cuts[e], sel)
         per_edge[e] = (value, witness)
         if value > width:
             width = value
@@ -430,10 +436,11 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
     and the composed decomposition stays optimal in that case too, since
     then every cut of every decomposition pays for it).  The root splits
     off the first component, the next node the second, and so on; inside a
-    component the tree follows that component's own dynamic program.
+    component the tree follows that component's own dynamic program, and
+    the width follows from the component widths by the component law
+    (``component_law_expected``), so the composed tree is not evaluated.
     Other selectors run the dynamic program on the whole graph.
     """
-    ev = evaluator if evaluator is not None else CutEvaluator(g)
     comps = connected_components(g)
     if len(comps) > 1 and sel.is_primal_union():
         for comp in comps:
@@ -441,10 +448,12 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
                 raise SizeLimitError(
                     f"component of size {len(comp)} exceeds solver limit {DP_MAX_N}")
         split: dict[int, int] = {}
+        widths = []
         rest = (1 << g.n) - 1
         for comp in comps:
             sub, remap = induced_subgraph(g, comp)
-            _, local = _dp_splits(sub, sel, CutEvaluator(sub))
+            width, local = _dp_splits(sub, sel, CutEvaluator(sub))
+            widths.append(width)
             # copy the component's reachable splits into global vertex bits
             stack = [(1 << sub.n) - 1]
             while stack:
@@ -458,11 +467,23 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
                 split[rest] = cmask
                 rest ^= cmask
         bd = _tree_from_splits(g.n, lambda m: (split[m], m ^ split[m]))
-        return decomposition_width(bd, g, sel, evaluator=ev).width, bd
+        return component_law_expected(g, widths, sel), bd
     if g.n > DP_MAX_N:
         raise SizeLimitError(f"dynamic program limited to n <= {DP_MAX_N}, got {g.n}")
+    ev = evaluator if evaluator is not None else CutEvaluator(g)
     width, split_of = _dp_splits(g, sel, ev)
     return width, _tree_from_splits(g.n, lambda m: (split_of[m], m ^ split_of[m]))
+
+
+def component_law_expected(g: Graph, comp_widths: list[int],
+                           sel: FamilySelector) -> int:
+    """Whole-graph width from component widths: their maximum, lifted to 1
+    for anti-matching unions on disconnected graphs (the one-pair pattern
+    crosses components in every cut of every decomposition)."""
+    expected = max(comp_widths, default=0)
+    if Family.ANTIMATCH in sel.families and g.n >= 2:
+        expected = max(expected, 1)
+    return expected
 
 
 def _global_mask(m: int, remap: tuple[int, ...]) -> int:
@@ -526,48 +547,26 @@ def find_balanced_edge(adjacency: dict[int, set[int]],
     weightings this package uses, namely 0/1 markings of at least two
     leaves -- the returned edge is such a split.  With more skewed
     weightings (most of the mass on one node) no balanced edge need exist,
-    and the best available split is returned instead.
+    and the best available split is returned instead.  Raises ValueError
+    unless ``adjacency`` is a subcubic tree with an edge.
     """
     total = sum(weights.get(v, 0) for v in adjacency)
     if total <= 0:
         raise ValueError("total weight must be positive")
-    edges = sorted((min(u, v), max(u, v))
-                   for u in adjacency for v in adjacency[u] if u < v)
-    if not edges:
-        raise ValueError("tree has no edges")
     for v in adjacency:
         if len(adjacency[v]) > 3:
             raise ValueError("tree must be subcubic")
-
-    best_edge = None
-    best_min = -1.0
-    for u, v in edges:
-        side = _side_weight(adjacency, weights, u, v)
-        m = min(side, total - side)
-        if m > best_min:
-            best_min = m
-            best_edge = (u, v)
-    assert best_edge is not None
-    return best_edge
-
-
-def _side_weight(adjacency, weights, u, v) -> float:
-    seen = {u, v}
-    stack = [u]
-    acc = weights.get(u, 0)
-    while stack:
-        x = stack.pop()
-        for w in adjacency[x]:
-            if w not in seen:
-                seen.add(w)
-                acc += weights.get(w, 0)
-                stack.append(w)
-    return acc
+    sides = _edge_sides(adjacency, min(adjacency), weights)
+    if 2 * len(sides) != sum(map(len, adjacency.values())):
+        raise ValueError("not a tree")
+    if not sides:
+        raise ValueError("tree has no edges")
+    return max(sorted(sides), key=lambda e: min(sides[e], total - sides[e]))
 
 
 def is_balanced_edge(adjacency, weights, edge, alpha: float = 1 / 3) -> bool:
     total = sum(weights.get(v, 0) for v in adjacency)
-    side = _side_weight(adjacency, weights, edge[0], edge[1])
+    side = _edge_sides(adjacency, edge[1], weights)[min(edge), max(edge)]  # edge[0]'s side
     return alpha * total <= side <= (1 - alpha) * total
 
 

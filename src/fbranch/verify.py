@@ -25,6 +25,7 @@ from .cutfn import (
     generic_pattern_value,
 )
 from .decomp import (
+    component_law_expected,
     decomposition_width,
     exact_branchwidth_dp,
     exact_branchwidth_enum,
@@ -181,17 +182,6 @@ def suite_tw_bound(max_n: int = 7) -> SuiteResult:
                         "graph": graph_to_text(g), "selector": sel.name(),
                         "width": w, "treewidth": tw})
     return res
-
-
-def component_law_expected(g: Graph, comp_widths: list[int],
-                           sel: FamilySelector) -> int:
-    """Whole-graph width from component widths: their maximum, lifted to 1
-    for anti-matching unions on disconnected graphs (the one-pair pattern
-    crosses components in every cut of every decomposition)."""
-    expected = max(comp_widths, default=0)
-    if Family.ANTIMATCH in sel.families and g.n >= 2:
-        expected = max(expected, 1)
-    return expected
 
 
 def suite_component(seed: int = 0, count: int = 100, max_n: int = 8) -> SuiteResult:

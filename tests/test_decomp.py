@@ -9,10 +9,11 @@ from fbranch.cutfn import ALL_FAMILIES, PRIMAL, CutEvaluator, FamilySelector
 from fbranch.decomp import (
     DP_MAX_N,
     BranchDecomposition,
+    component_law_expected,
     decomposition_to_json_dict,
     decomposition_to_text,
     decomposition_width,
-    edge_cut,
+    edge_cuts,
     enumerate_decompositions,
     exact_branchwidth_dp,
     exact_branchwidth_enum,
@@ -36,8 +37,9 @@ from fbranch.graph import (
     exact_treewidth,
     induced_subgraph,
     mask_of,
+    set_of,
 )
-from fbranch.verify import component_law_expected
+from fbranch.verify import PRIMAL_UNIONS
 
 MATCH = FamilySelector.of(Family.MATCH)
 CHAIN = FamilySelector.of(Family.CHAIN)
@@ -100,15 +102,46 @@ def test_caterpillars_validate():
         validate_decomposition(caterpillar(n), Graph(n))
 
 
-def test_edge_cut():
+def _reference_edge_cut(bd, e):
+    """The per-edge walk ``edge_cuts`` replaced: the vertices mapped into
+    the component of bd - e that holds the leaf of the smallest vertex."""
+    u, v = e
+    side = set()
+    stack = [u]
+    seen = {u, v}
+    while stack:
+        x = stack.pop()
+        if x in bd.leaf_map:
+            side.add(bd.leaf_map[x])
+        for w in bd.adjacency[x]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    other = frozenset(bd.leaf_map.values()) - side
+    return frozenset(side) if min(bd.leaf_map.values()) in side else other
+
+
+def test_edge_cuts():
     bd = caterpillar(6)
-    assert edge_cut(bd, (0, 6)) == frozenset({0})
+    cuts = edge_cuts(bd)
+    assert sorted(cuts) == list(bd.edges)
+    assert cuts[0, 6] == 0b1
     # middle spine edge separates the first three leaves
-    assert edge_cut(bd, (7, 8)) == frozenset({0, 1, 2})
+    assert cuts[7, 8] == 0b111
     k2 = BranchDecomposition(2, [(0, 1)], {0: 0, 1: 1})
-    assert edge_cut(k2, (0, 1)) == frozenset({0})
-    with pytest.raises(DecompositionError):
-        edge_cut(bd, (0, 9))
+    assert edge_cuts(k2) == {(0, 1): 0b1}
+    assert edge_cuts(BranchDecomposition(1, [], {0: 0})) == {}
+
+
+def test_edge_cuts_match_the_per_edge_walk():
+    shapes = [bd for n in range(2, 8) for bd in enumerate_decompositions(n)]
+    # the deep tree of test_tree_from_splits_builds_a_deep_tree_without_recursion
+    shapes.append(decomp._tree_from_splits(1200, lambda m: (m & -m, m ^ (m & -m))))
+    for bd in shapes:
+        cuts = edge_cuts(bd)
+        assert sorted(cuts) == list(bd.edges)
+        for e in bd.edges:
+            assert cuts[e] == mask_of(_reference_edge_cut(bd, e)), (bd, e)
 
 
 def test_decomposition_width_examples():
@@ -283,6 +316,61 @@ def test_find_balanced_edge_leaf_markings_exhaustive():
                 assert is_balanced_edge(adj, w, e), (tree, marked)
 
 
+def _reference_side_weight(adjacency, weights, u, v):
+    """The per-edge walk the balanced-edge helpers replaced: the weight on
+    u's side of the tree edge (u, v)."""
+    seen = {u, v}
+    stack = [u]
+    acc = weights.get(u, 0)
+    while stack:
+        x = stack.pop()
+        for w in adjacency[x]:
+            if w not in seen:
+                seen.add(w)
+                acc += weights.get(w, 0)
+                stack.append(w)
+    return acc
+
+
+def _reference_balanced_edge(adjacency, weights):
+    total = sum(weights.get(v, 0) for v in adjacency)
+    best_edge, best_min = None, -1
+    for u, v in sorted((u, v) for u in adjacency for v in adjacency[u] if u < v):
+        side = _reference_side_weight(adjacency, weights, u, v)
+        if min(side, total - side) > best_min:
+            best_edge, best_min = (u, v), min(side, total - side)
+    return best_edge
+
+
+def test_balanced_edge_helpers_match_the_per_edge_walk():
+    # the same edge, ties included, and the same verdict on every edge
+    rng = random.Random(29)
+    for n in range(2, 11):
+        for tree in tree_classes(n, max_degree=3):
+            adj = {v: set(tree.adj[v]) for v in range(n)}
+            leaves = [v for v in range(n) if tree.degree(v) <= 1]
+            for _ in range(5):
+                marked = set(rng.sample(leaves, rng.randint(2, len(leaves))))
+                w = {v: (1 if v in marked else 0) for v in range(n)}
+                assert find_balanced_edge(adj, w) == _reference_balanced_edge(adj, w), \
+                    (tree, marked)
+                total = len(marked)
+                for u, v in tree.edges():
+                    for a, b in ((u, v), (v, u)):
+                        side = _reference_side_weight(adj, w, a, b)
+                        assert is_balanced_edge(adj, w, (a, b)) == (
+                            1 / 3 * total <= side <= (1 - 1 / 3) * total)
+
+
+def test_find_balanced_edge_rejects_a_forest():
+    two_edges = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+    with pytest.raises(ValueError, match="not a tree"):
+        find_balanced_edge(two_edges, {0: 1, 3: 1})
+    triangle = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+    with pytest.raises(ValueError, match="not a tree"):
+        find_balanced_edge(triangle, {0: 1, 1: 1})
+
+
 def _insertion_shapes(n):
     """Reference enumerator for n >= 3: grow the three-leaf star by
     subdividing every edge with leaf 3, then leaf 4, and so on."""
@@ -304,8 +392,7 @@ def _cut_key(bd, n):
     """A shape's identity: its edge cuts, each as the numerically smaller
     of its two vertex masks."""
     full = (1 << n) - 1
-    masks = (mask_of(edge_cut(bd, e)) for e in bd.edges)
-    return frozenset(min(m, full ^ m) for m in masks)
+    return frozenset(min(m, full ^ m) for m in edge_cuts(bd).values())
 
 
 def test_hierarchy_enumerator_matches_insertion_enumerator():
@@ -454,8 +541,9 @@ def test_dp_tree_of_disjoint_union_bridges_whole_components():
             validate_decomposition(bd, g)
             rep = decomposition_width(bd, g, sel)
             assert w == rep.width == 1
+            cuts = edge_cuts(bd)
             bridge_values = [v for e, (v, _) in rep.per_edge.items()
-                             if edge_cut(bd, e) in unions]
+                             if set_of(cuts[e]) in unions]
             assert bridge_values and all(v == 0 for v in bridge_values)
 
 
@@ -488,11 +576,28 @@ def test_dp_solves_disconnected_graph_beyond_size_limit():
     assert sorted(map(len, comps)) == sorted(sizes)
     with pytest.raises(SizeLimitError):
         exact_branchwidth_dp(g, ALL_FAMILIES)
-    for sel in (MATCH, ANTIMATCH, PRIMAL):
-        w, bd = exact_branchwidth_dp(g, sel)
-        validate_decomposition(bd, g)
-        parts = [exact_branchwidth_dp(induced_subgraph(g, c)[0], sel)[0] for c in comps]
-        assert w == component_law_expected(g, parts, sel) == decomposition_width(bd, g, sel).width
+    # with isolated vertices, and the smallest disconnected graph
+    isolated = Graph(g.n + 3, edges)
+    for h in (g, isolated, Graph(2), Graph(5, [(1, 3)])):
+        comps = connected_components(h)
+        for sel in PRIMAL_UNIONS:
+            w, bd = exact_branchwidth_dp(h, sel)
+            validate_decomposition(bd, h)
+            parts = [exact_branchwidth_dp(induced_subgraph(h, c)[0], sel)[0] for c in comps]
+            assert w == component_law_expected(h, parts, sel) == decomposition_width(bd, h, sel).width
+
+
+def test_dp_takes_a_disconnected_width_from_the_component_law(monkeypatch):
+    # the composed tree is never evaluated: its width comes from the
+    # component widths the dynamic program already found
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition_width called")
+
+    monkeypatch.setattr(decomp, "decomposition_width", refuse)
+    # a triangle beside a 6-cycle, whose match width is 2
+    g = Graph(9, [(0, 1), (1, 2), (2, 0)] + [(3 + i, 3 + (i + 1) % 6) for i in range(6)])
+    assert exact_branchwidth_dp(g, MATCH)[0] == 2
+    assert exact_branchwidth_dp(Graph(3), ANTIMATCH)[0] == 1
 
 
 def test_tree_from_splits_builds_a_deep_tree_without_recursion():
@@ -566,15 +671,15 @@ def test_balanced_cut_corollaries_by_enumeration():
     # decomposition must have an edge whose cut shows a non-adjacent pair
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     for bd in enumerate_decompositions(6):
-        assert any(family_value(make_cut(two_triangles, edge_cut(bd, e)), Family.EMPTY)[0] >= 1
-                   for e in bd.edges)
+        assert any(family_value(make_cut(two_triangles, set_of(m)), Family.EMPTY)[0] >= 1
+                   for m in edge_cuts(bd).values())
 
     # a 3+3 bipartition inducing the complete pattern: every decomposition
     # must have an edge whose cut shows a crossing edge
     k33 = complete_bipartite(3, 3)
     for bd in enumerate_decompositions(6):
-        assert any(family_value(make_cut(k33, edge_cut(bd, e)), Family.COMPLETE)[0] >= 1
-                   for e in bd.edges)
+        assert any(family_value(make_cut(k33, set_of(m)), Family.COMPLETE)[0] >= 1
+                   for m in edge_cuts(bd).values())
 
 
 def test_width_report_argmax_witness_validates():
@@ -584,4 +689,5 @@ def test_width_report_argmax_witness_validates():
     rep = decomposition_width(caterpillar(6), g, PRIMAL)
     value, witness = rep.per_edge[rep.argmax_edge]
     assert value == rep.width
-    assert validate_witness(make_cut(g, edge_cut(caterpillar(6), rep.argmax_edge)), witness)
+    cut = edge_cuts(caterpillar(6))[rep.argmax_edge]
+    assert validate_witness(make_cut(g, set_of(cut)), witness)
