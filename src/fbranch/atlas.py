@@ -3,14 +3,15 @@
 Classes on n vertices are produced by extending the classes on n - 1
 vertices with one new vertex and deduplicating canonical forms; every graph
 contains a vertex whose removal leaves a representative already catalogued
-(for connected classes, a non-cut vertex), so the augmentation is complete.
-Results are cached per session.
+(a non-cut vertex for connected classes, a leaf for trees), so the
+augmentation is complete.  Results are cached per session.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable, Iterable
 
 from .canonical import canonical_form
 from .graph import Graph
@@ -23,7 +24,7 @@ def all_graph_classes(n: int) -> tuple[Graph, ...]:
         raise ValueError("n must be nonnegative")
     if n <= 1:
         return (Graph(n),)
-    return _extend(all_graph_classes(n - 1), 0)
+    return _extend(all_graph_classes(n - 1), lambda base: range(1 << (n - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -33,17 +34,18 @@ def connected_graph_classes(n: int) -> tuple[Graph, ...]:
         return all_graph_classes(n)
     # every connected graph has a non-cut vertex, so extending connected
     # classes by a vertex with a nonempty neighborhood reaches everything
-    return _extend(connected_graph_classes(n - 1), 1)
+    return _extend(connected_graph_classes(n - 1), lambda base: range(1, 1 << (n - 1)))
 
 
-def _extend(bases: tuple[Graph, ...], first_mask: int) -> tuple[Graph, ...]:
+def _extend(bases: tuple[Graph, ...], masks: Callable[[Graph], Iterable[int]]
+            ) -> tuple[Graph, ...]:
     """The classes reached by joining a new last vertex to each base graph
-    with every neighborhood mask from ``first_mask`` on."""
+    with every neighborhood mask in ``masks(base)``."""
     n = bases[0].n + 1
     seen: dict[tuple, Graph] = {}
     for base in bases:
         base_edges = base.edges()
-        for mask in range(first_mask, 1 << (n - 1)):
+        for mask in masks(base):
             edges = list(base_edges)
             for v in range(n - 1):
                 if mask >> v & 1:
@@ -61,14 +63,9 @@ def tree_classes(n: int, max_degree: int | None = None) -> tuple[Graph, ...]:
         raise ValueError("n must be positive")
     if n == 1:
         return (Graph(1),)
-    seen: dict[tuple, Graph] = {}
-    for base in tree_classes(n - 1, max_degree):
-        for v in range(n - 1):
-            if max_degree is not None and base.degree(v) >= max_degree:
-                continue
-            g = Graph(n, list(base.edges()) + [(v, n - 1)])
-            seen.setdefault(canonical_form(g), g)
-    return tuple(seen[k] for k in sorted(seen))
+    # every tree has a leaf: join the new vertex to one vertex with room
+    return _extend(tree_classes(n - 1, max_degree), lambda base: [
+        1 << v for v in range(n - 1) if max_degree is None or base.degree(v) < max_degree])
 
 
 def brute_force_graph_classes(n: int) -> list[Graph]:

@@ -14,9 +14,9 @@ A search may be capped: it stops as soon as its best pattern has ``cap``
 pairs.  A capped result below the cap is exact, and its witness is the
 uncapped one (the search never stopped, so it took the same path); a result
 at the cap is only a lower bound.  The solvers ask only whether a cut is
-below their incumbent width, so ``CutEvaluator.value_below`` passes the
-incumbent as the cap; its cache keeps a value with its witness when it
-is exact and a lower bound otherwise.
+below their incumbent width, so they pass the incumbent as the cap of
+``CutEvaluator.value_of_mask``, the one cut-value query; its cache keeps
+a value with its witness when it is exact and a lower bound otherwise.
 
 The twin-class count needs no search.  ``ntc_table`` fills the value of
 every mask at once, bit-sliced (each mask is one bit of 2^n-bit integers),
@@ -142,7 +142,7 @@ def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
         return False
     q = len(xs)
     edges = frozenset((i, j) for i in range(q) for j in range(q) if b.has_edge(xs[i], ys[j]))
-    return witness.family in classify_si(OrderedBipartiteGraph(q, edges, xs, ys))
+    return witness.family in classify_si(OrderedBipartiteGraph(q, edges))
 
 
 # The three searches return the best partner pairs (x, y) in pattern order;
@@ -421,11 +421,11 @@ def generic_pattern_value(b: BipartiteCutGraph, family: Family) -> int:
 class CutEvaluator:
     """Memoizing cut evaluator for one graph.
 
-    Values are cached in one dict per family keyed by cut mask, so queries
-    under different selectors share the per-family work; cuts are keyed by
-    the numerically smaller side mask (the cut function is symmetric).  An
-    entry is ``(value, witness)`` when exact, or ``(lower bound, None)``
-    when a capped search reached its cap; a larger cap searches again.
+    Pattern values are cached in one dict per family keyed by the smaller
+    side mask of the cut (the cut function is symmetric), so selectors
+    share the per-family work.  An entry is ``(value, witness)`` when exact,
+    or ``(lower bound, None)`` when a capped search reached its cap; a
+    larger cap searches again.  Twin-class values are computed, not cached.
     """
 
     def __init__(self, g: Graph):
@@ -433,7 +433,6 @@ class CutEvaluator:
         self._adj = _adjacency_masks(g)
         self._values: dict[Family, dict[int, tuple[int, PatternWitness | None]]] = {
             family: {} for family in FAMILY_ORDER}
-        self._ntc: dict[int, int] = {}
 
     def family_value_of_mask(self, mask: int, family: Family, cap: float = math.inf
                              ) -> tuple[int, PatternWitness | None]:
@@ -448,36 +447,20 @@ class CutEvaluator:
             hit = values[mask] = (value, witness if value < cap else None)
         return hit
 
-    def value_of_mask(self, mask: int, sel: FamilySelector) -> tuple[int, PatternWitness]:
-        """The exact cut value with the witness of its first largest family."""
-        if sel.ntc:  # exact whatever the cap
-            return self.value_below(mask, sel, 0), EMPTY_WITNESS
+    def value_of_mask(self, mask: int, sel: FamilySelector, cap: float = math.inf
+                      ) -> tuple[int, PatternWitness | None]:
+        """f(mask) with the witness of its first largest family when it is
+        below ``cap``; otherwise ``(value >= cap, None)`` from the first
+        family that reaches the cap, which ends the query.  ntc values take
+        no cap: they are always exact."""
+        if sel.ntc:
+            return _ntc_cut_value(self._adj, mask, self._full ^ mask), EMPTY_WITNESS
         best = (0, EMPTY_WITNESS)
         for family in FAMILY_ORDER:
             if family in sel.families:
-                hit = self.family_value_of_mask(mask, family)
+                hit = self.family_value_of_mask(mask, family, cap)
+                if hit[0] >= cap:
+                    return hit[0], None
                 if hit[0] > best[0]:
                     best = hit
         return best
-
-    def value_below(self, mask: int, sel: FamilySelector, cap: int) -> int:
-        """f(mask) when it is below ``cap``, otherwise some value >= cap (the
-        first family that reaches the cap ends the query).  ntc values take
-        no cap: they are always exact."""
-        if sel.ntc:
-            mask = min(mask, self._full ^ mask)
-            v = self._ntc.get(mask)
-            if v is None:
-                v = self._ntc[mask] = _ntc_cut_value(self._adj, mask, self._full ^ mask)
-            return v
-        best = 0
-        for family in FAMILY_ORDER:
-            if family in sel.families:
-                value = self.family_value_of_mask(mask, family, cap)[0]
-                if value >= cap:
-                    return value
-                best = max(best, value)
-        return best
-
-    def value_of(self, side_x: Iterable[int], sel: FamilySelector) -> tuple[int, PatternWitness]:
-        return self.value_of_mask(mask_of(side_x), sel)

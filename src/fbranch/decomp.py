@@ -324,12 +324,12 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     n = g.n
     full = (1 << n) - 1
     top = n + 1  # above every cut value, so every value and bound fits a byte
-    value_below = evaluator.value_below
+    value_of_mask = evaluator.value_of_mask
 
     def resolve(m: int, cap: int) -> int:
-        """f(m) if below cap, else a lower bound >= cap; stored on m and on
-        its complement (the cut function is symmetric)."""
-        value = vals[m] = vals[full ^ m] = value_below(m, sel, cap)
+        """f(m) if below cap, else a lower bound >= cap (one capped
+        ``value_of_mask``); stored on m and on its complement (f is symmetric)."""
+        value = vals[m] = vals[full ^ m] = value_of_mask(m, sel, cap)[0]
         if value < cap:
             exact[m] = exact[full ^ m] = 1
         return value
@@ -522,7 +522,7 @@ def _balanced_split(ev: CutEvaluator, sel: FamilySelector, mask: int) -> tuple[i
         improved = False
         for u in _iter_bits(a):
             for v in _iter_bits(b):
-                c2 = ev.value_below(a ^ u ^ v, sel, cost)
+                c2 = ev.value_of_mask(a ^ u ^ v, sel, cost)[0]
                 if c2 < cost:
                     a ^= u ^ v
                     b ^= u ^ v
@@ -564,10 +564,11 @@ def find_balanced_edge(adjacency: dict[int, set[int]],
     return max(sorted(sides), key=lambda e: min(sides[e], total - sides[e]))
 
 
-def is_balanced_edge(adjacency, weights, edge, alpha: float = 1 / 3) -> bool:
+def is_balanced_edge(adjacency, weights, edge) -> bool:
+    """Whether ``edge`` splits the weight 1/3-to-2/3."""
     total = sum(weights.get(v, 0) for v in adjacency)
     side = _edge_sides(adjacency, edge[1], weights)[min(edge), max(edge)]  # edge[0]'s side
-    return alpha * total <= side <= (1 - alpha) * total
+    return total <= 3 * side <= 2 * total
 
 
 # ---------------------------------------------------------------------------

@@ -69,22 +69,15 @@ def pattern_edges(family: Family, q: int) -> frozenset[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class OrderedBipartiteGraph:
-    """Bipartite graph with ordered sides of equal length; pair i consists
-    of a_side[i] and b_side[i].  ``edges`` holds (i, j) index pairs meaning
-    a_side[i] is adjacent to b_side[j]."""
+    """Bipartite graph on q ordered pairs (a_i, b_i).  ``edges`` holds
+    (i, j) index pairs meaning a_i is adjacent to b_j."""
 
     q: int
     edges: frozenset[tuple[int, int]]
-    a_side: tuple[int, ...] = ()
-    b_side: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.q < 0:
             raise ValueError("pair count must be nonnegative")
-        if self.a_side and len(self.a_side) != self.q:
-            raise ValueError("a_side length must equal q")
-        if self.b_side and len(self.b_side) != self.q:
-            raise ValueError("b_side length must equal q")
         for i, j in self.edges:
             if not (0 <= i < self.q and 0 <= j < self.q):
                 raise ValueError(f"edge index ({i}, {j}) out of range")
@@ -97,10 +90,7 @@ class OrderedBipartiteGraph:
         pos = {p: k for k, p in enumerate(pairs)}
         new_edges = frozenset((pos[i], pos[j]) for i, j in self.edges
                               if i in pos and j in pos)
-        return OrderedBipartiteGraph(
-            len(pairs), new_edges,
-            tuple(self.a_side[p] for p in pairs) if self.a_side else (),
-            tuple(self.b_side[p] for p in pairs) if self.b_side else ())
+        return OrderedBipartiteGraph(len(pairs), new_edges)
 
     def reversed_pairs(self) -> "OrderedBipartiteGraph":
         return self.induced(list(range(self.q - 1, -1, -1)))

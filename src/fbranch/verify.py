@@ -48,6 +48,7 @@ PRIMAL_UNIONS = tuple(
     for r in (1, 2, 3)
     for fams in itertools.combinations(
         (Family.MATCH, Family.CHAIN, Family.ANTIMATCH), r))
+TYP_MAX_K = 4  # typ-bounds checks the length and count bounds for k = 0..4
 
 
 @dataclass
@@ -300,9 +301,9 @@ def suite_fes_safety(seed: int = 0, count: int = 100) -> SuiteResult:
 
 
 def suite_typ_bounds(seed: int = 0, law_count: int = 10000,
-                     interleave_count: int = 500, max_k: int = 4) -> SuiteResult:
+                     interleave_count: int = 500) -> SuiteResult:
     res = SuiteResult("typ-bounds", 0)
-    for k in range(max_k + 1):
+    for k in range(TYP_MAX_K + 1):
         seqs = enumerate_typical(k)
         res.tested += 1
         if any(len(s) > 2 * k + 1 for s in seqs):

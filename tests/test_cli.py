@@ -238,7 +238,7 @@ def test_width_over_limit_exit_code(tmp_path, capsys, monkeypatch):
     def no_cuts(*args):
         raise AssertionError("a cut was evaluated")
 
-    monkeypatch.setattr(fbranch.cutfn.CutEvaluator, "value_of", no_cuts)
+    monkeypatch.setattr(fbranch.cutfn.CutEvaluator, "value_of_mask", no_cuts)
     n = GREEDY_MAX_N + 1
     tree = tmp_path / "cat.tree"
     tree.write_text(caterpillar(n))

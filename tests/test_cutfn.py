@@ -20,7 +20,7 @@ from fbranch.cutfn import (
 from fbranch.decomp import decomposition_width, exact_branchwidth_dp, greedy_branchwidth
 from fbranch.errors import SizeLimitError
 from fbranch.families import FAMILY_ORDER, Family, pattern_edges
-from fbranch.graph import BipartiteCutGraph, Graph, _adjacency_masks, cut_graph, set_of
+from fbranch.graph import BipartiteCutGraph, Graph, _adjacency_masks, cut_graph, mask_of, set_of
 
 
 def cycle(n):
@@ -123,23 +123,23 @@ def test_each_pattern_is_its_own_witness():
 
 def test_family_cut_value_examples():
     g = cycle(6)
-    n, w = CutEvaluator(g).value_of({0, 1, 2}, FamilySelector.of(Family.MATCH))
+    n, w = CutEvaluator(g).value_of_mask(mask_of({0, 1, 2}), FamilySelector.of(Family.MATCH))
     assert n == 2 and validate_witness(cut_graph(g, {0, 1, 2}), w)
 
     edgeless = Graph(6)
-    n, _ = CutEvaluator(edgeless).value_of({0, 1, 2}, ALL_FAMILIES)
+    n, _ = CutEvaluator(edgeless).value_of_mask(mask_of({0, 1, 2}), ALL_FAMILIES)
     assert n == 3  # EMPTY achieves it
 
     p2 = Graph(2, [(0, 1)])
-    n, _ = CutEvaluator(p2).value_of({0}, FamilySelector.of(Family.MATCH, Family.CHAIN))
+    n, _ = CutEvaluator(p2).value_of_mask(1, FamilySelector.of(Family.MATCH, Family.CHAIN))
     assert n == 1
 
 
 def test_family_cut_value_empty_side_is_zero():
     g = cycle(5)
     for sel in (ALL_FAMILIES, PRIMAL):
-        assert CutEvaluator(g).value_of(set(), sel)[0] == 0
-        assert CutEvaluator(g).value_of(set(range(5)), sel)[0] == 0
+        assert CutEvaluator(g).value_of_mask(0, sel)[0] == 0
+        assert CutEvaluator(g).value_of_mask(0b11111, sel)[0] == 0
 
 
 def test_family_cut_value_symmetry_and_monotonicity():
@@ -151,10 +151,10 @@ def test_family_cut_value_symmetry_and_monotonicity():
         g = Graph(n, edges)
         xs = frozenset(v for v in range(n) if rng.random() < 0.5)
         ys = frozenset(range(n)) - xs
-        whole = CutEvaluator(g).value_of(xs, ALL_FAMILIES)[0]
-        assert whole == CutEvaluator(g).value_of(ys, ALL_FAMILIES)[0]
+        whole = CutEvaluator(g).value_of_mask(mask_of(xs), ALL_FAMILIES)[0]
+        assert whole == CutEvaluator(g).value_of_mask(mask_of(ys), ALL_FAMILIES)[0]
         for sel in singletons:
-            assert CutEvaluator(g).value_of(xs, sel)[0] <= whole
+            assert CutEvaluator(g).value_of_mask(mask_of(xs), sel)[0] <= whole
 
 
 def test_chain_strict_within_one():
@@ -204,7 +204,7 @@ def test_ntc_dominates_primal_value():
         g = Graph(n, edges)
         for k in range(n + 1):
             xs = frozenset(rng.sample(range(n), k))
-            assert ntc_value(g, xs) >= CutEvaluator(g).value_of(xs, PRIMAL)[0]
+            assert ntc_value(g, xs) >= CutEvaluator(g).value_of_mask(mask_of(xs), PRIMAL)[0]
 
 
 def test_ntc_table_matches_per_mask_values():
@@ -222,7 +222,7 @@ def test_ntc_table_matches_per_mask_values():
         for m in range(full + 1):
             xs = set_of(m)
             two_sided = max(ntc_value(g, xs), ntc_value(g, set(range(g.n)) - xs))
-            assert table[m] == ev.value_below(m, ntc, g.n + 1) == two_sided, (g, m)
+            assert table[m] == ev.value_of_mask(m, ntc)[0] == two_sided, (g, m)
     # the solver's sizes, and X = {0..10} with pairwise distinct
     # neighbourhoods among the other four: 11 classes set the top digit
     big = [Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
@@ -278,7 +278,7 @@ def test_cut_evaluator_caches_and_matches_direct():
         direct = max(family_value(b, f)[0] for f in PRIMAL.families)
         assert ev.value_of_mask(mask, PRIMAL)[0] == direct
     # X = {0,1,2} on C6: outside neighborhoods {5}, {}, {3} are all distinct
-    assert ev.value_of({0, 1, 2}, FamilySelector.parse("ntc"))[0] == 3
+    assert ev.value_of_mask(mask_of({0, 1, 2}), FamilySelector.parse("ntc"))[0] == 3
 
 
 def test_family_cut_value_witnesses_revalidate():
@@ -290,7 +290,7 @@ def test_family_cut_value_witnesses_revalidate():
         xs = frozenset(v for v in range(n) if rng.random() < 0.5)
         b = cut_graph(g, xs)
         for sel in (ALL_FAMILIES, PRIMAL):
-            value, witness = CutEvaluator(g).value_of(xs, sel)
+            value, witness = CutEvaluator(g).value_of_mask(mask_of(xs), sel)
             assert validate_witness(b, witness)
             assert witness.value == value
 
@@ -311,7 +311,7 @@ def test_evaluator_witness_validates_in_either_orientation():
             xs = set_of(mask)
             b = cut_graph(g, xs)
             for sel in (PRIMAL, ALL_FAMILIES, *(FamilySelector.of(f) for f in FAMILY_ORDER)):
-                value, witness = ev.value_of(xs, sel)
+                value, witness = ev.value_of_mask(mask_of(xs), sel)
                 assert validate_witness(b, witness), (g, xs, sel.name(), witness)
                 assert witness.value == value
 
@@ -351,14 +351,14 @@ def test_value_below_bounds_then_exact_on_a_larger_cap():
             fresh = CutEvaluator(g)
             ev = CutEvaluator(g)
             for mask in range(1 << g.n):
-                exact = fresh.value_of_mask(mask, sel)[0]
-                first = ev.value_below(mask, sel, 2)
-                if exact < 2 or sel.ntc:
+                exact = fresh.value_of_mask(mask, sel)
+                first = ev.value_of_mask(mask, sel, 2)
+                if exact[0] < 2 or sel.ntc:  # below the cap: value and witness
                     assert first == exact
                 else:
-                    assert first >= 2
+                    assert first[0] >= 2 and first[1] is None
                 # a pattern value is at most n / 2 < 6; ntc takes no cap
-                assert ev.value_below(mask, sel, 6) == exact
+                assert ev.value_of_mask(mask, sel, 6) == exact
         # per family: a capped lookup is the exact answer or, at the cap, a
         # bare bound; a later uncapped lookup is the plain search's answer
         # on the cut seen from its smaller side mask, the evaluator's key
@@ -379,7 +379,7 @@ def test_width_through_a_capped_evaluator_matches_a_fresh_one():
         for sel in _selectors():
             ev = CutEvaluator(g)
             for mask in range(1 << g.n):
-                ev.value_below(mask, sel, rng.randint(1, 3))
+                ev.value_of_mask(mask, sel, rng.randint(1, 3))
             for _, bd in (exact_branchwidth_dp(g, sel, evaluator=ev), greedy_branchwidth(g, sel)):
                 capped = decomposition_width(bd, g, sel, evaluator=ev)
                 fresh = decomposition_width(bd, g, sel)
