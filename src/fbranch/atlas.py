@@ -24,7 +24,7 @@ def all_graph_classes(n: int) -> tuple[Graph, ...]:
         raise ValueError("n must be nonnegative")
     if n <= 1:
         return (Graph(n),)
-    return _extend(all_graph_classes(n - 1), lambda base: range(1 << (n - 1)))
+    return _extend(n, all_graph_classes(n - 1), lambda base: range(1 << (n - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -34,14 +34,13 @@ def connected_graph_classes(n: int) -> tuple[Graph, ...]:
         return all_graph_classes(n)
     # every connected graph has a non-cut vertex, so extending connected
     # classes by a vertex with a nonempty neighborhood reaches everything
-    return _extend(connected_graph_classes(n - 1), lambda base: range(1, 1 << (n - 1)))
+    return _extend(n, connected_graph_classes(n - 1), lambda base: range(1, 1 << (n - 1)))
 
 
-def _extend(bases: tuple[Graph, ...], masks: Callable[[Graph], Iterable[int]]
-            ) -> tuple[Graph, ...]:
-    """The classes reached by joining a new last vertex to each base graph
-    with every neighborhood mask in ``masks(base)``."""
-    n = bases[0].n + 1
+def _extend(n: int, bases: tuple[Graph, ...],
+            masks: Callable[[Graph], Iterable[int]]) -> tuple[Graph, ...]:
+    """The classes on n vertices reached by joining a new last vertex to
+    each base graph with every neighborhood mask in ``masks(base)``."""
     seen: dict[tuple, Graph] = {}
     for base in bases:
         base_edges = base.edges()
@@ -64,7 +63,7 @@ def tree_classes(n: int, max_degree: int | None = None) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
     # every tree has a leaf: join the new vertex to one vertex with room
-    return _extend(tree_classes(n - 1, max_degree), lambda base: [
+    return _extend(n, tree_classes(n - 1, max_degree), lambda base: [
         1 << v for v in range(n - 1) if max_degree is None or base.degree(v) < max_degree])
 
 

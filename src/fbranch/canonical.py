@@ -4,8 +4,12 @@ The canonical form is the lexicographically smallest (color sequence,
 adjacency bit string) over all vertex orderings, found by branch-and-bound
 over partial orderings.  Vertex degree is folded into the color key: it is
 an isomorphism invariant, so equality of forms is unchanged while the
-search prunes much harder.  Exact for any input; intended for graphs of
-around a dozen vertices, which is all the rest of the package feeds it.
+search prunes much harder.  At each position the search skips a twin of a
+vertex already tried there (same key, same neighbors apart from each
+other): swapping the two is an automorphism that fixes the placed prefix,
+so both give the same bit strings.  Stars and complete (bipartite) graphs
+are then fast, but the search stays exponential when large color classes
+hold no twins, as in the trees of ``atlas.tree_classes`` past n = 10.
 """
 
 from __future__ import annotations
@@ -21,49 +25,35 @@ def canonical_form(g: Graph, colors: Sequence[Hashable] | None = None) -> tuple:
 
     ``colors[v]`` may be any sortable value.
     """
-    n = g.n
-    if n == 0:
-        return ((), ())
     adj = g.adj
     if colors is None:
-        color_keys: list = [(len(adj[v]),) for v in range(n)]
+        keys: list = [(len(nbrs),) for nbrs in adj]
     else:
-        color_keys = [(colors[v], len(adj[v])) for v in range(n)]
-
-    best_bits: tuple[int, ...] | None = None
+        keys = [(colors[v], len(adj[v])) for v in range(g.n)]
+    # Any optimal ordering lists the keys in sorted order (the key sequence
+    # dominates the comparison), so position pos takes a vertex keyed slots[pos].
+    slots = sorted(keys)
     order: list[int] = []
-    used = [False] * n
     bits: list[int] = []
+    best = [2] * (g.n * (g.n - 1) // 2)  # above every bit string
 
-    # Any optimal ordering lists color keys in sorted order (the color
-    # sequence dominates the comparison), so candidates at each position are
-    # exactly the remaining vertices of minimum color key.
-    def extend(pos: int):
-        nonlocal best_bits
-        if pos == n:
-            cand = tuple(bits)
-            if best_bits is None or cand < best_bits:
-                best_bits = cand
+    def extend(pos: int) -> None:
+        nonlocal best
+        if pos == g.n:
+            best = bits[:]
             return
-        remaining = [v for v in range(n) if not used[v]]
-        min_color = min(color_keys[v] for v in remaining)
-        for v in remaining:
-            if color_keys[v] != min_color:
+        tried: list[int] = []
+        for v in range(g.n):
+            if keys[v] != slots[pos] or v in order or any(
+                    adj[u] - {v} == adj[v] - {u} for u in tried):
                 continue
-            row = [1 if order[i] in adj[v] else 0 for i in range(pos)]
-            if best_bits is not None:
-                new_len = len(bits) + len(row)
-                if tuple(bits) + tuple(row) > best_bits[:new_len]:
-                    continue
-            used[v] = True
-            order.append(v)
-            bits.extend(row)
-            extend(pos + 1)
+            tried.append(v)
+            bits.extend([int(u in adj[v]) for u in order])
+            if bits <= best[:len(bits)]:
+                order.append(v)
+                extend(pos + 1)
+                order.pop()
             del bits[len(bits) - pos:]
-            order.pop()
-            used[v] = False
 
     extend(0)
-    assert best_bits is not None
-    return (tuple(sorted(color_keys)), best_bits)
-
+    return (tuple(slots), tuple(best))

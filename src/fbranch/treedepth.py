@@ -30,11 +30,7 @@ class TreedepthDecomposition:
     parent: dict[int, int | None]
 
     def depth(self, v: int) -> int:
-        d = 1
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
+        return len(self._ancestors(v)) + 1
 
     @property
     def height(self) -> int:
@@ -55,7 +51,7 @@ class TreedepthDecomposition:
         for u, v in g.edges():
             au = self._ancestors(u)
             if v not in au and u not in self._ancestors(v):
-                raise ValueError(f"edge ({u}, {v}) not in the forest closure")
+                raise ValidationError(f"edge ({u}, {v}) not in the forest closure")
 
     def _ancestors(self, v: int) -> set[int]:
         out = set()

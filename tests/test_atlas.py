@@ -1,4 +1,10 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,152 @@ from fbranch.atlas import (
 )
 from fbranch.canonical import canonical_form
 from fbranch.graph import Graph, connected_components
+
+
+def _reference_canonical_form(g, colors=None):
+    """The search canonical_form ran before it skipped twins, kept verbatim:
+    every vertex of least remaining color key at every position."""
+    n = g.n
+    if n == 0:
+        return ((), ())
+    adj = g.adj
+    if colors is None:
+        color_keys: list = [(len(adj[v]),) for v in range(n)]
+    else:
+        color_keys = [(colors[v], len(adj[v])) for v in range(n)]
+
+    best_bits: tuple[int, ...] | None = None
+    order: list[int] = []
+    used = [False] * n
+    bits: list[int] = []
+
+    # Any optimal ordering lists color keys in sorted order (the color
+    # sequence dominates the comparison), so candidates at each position are
+    # exactly the remaining vertices of minimum color key.
+    def extend(pos: int):
+        nonlocal best_bits
+        if pos == n:
+            cand = tuple(bits)
+            if best_bits is None or cand < best_bits:
+                best_bits = cand
+            return
+        remaining = [v for v in range(n) if not used[v]]
+        min_color = min(color_keys[v] for v in remaining)
+        for v in remaining:
+            if color_keys[v] != min_color:
+                continue
+            row = [1 if order[i] in adj[v] else 0 for i in range(pos)]
+            if best_bits is not None:
+                new_len = len(bits) + len(row)
+                if tuple(bits) + tuple(row) > best_bits[:new_len]:
+                    continue
+            used[v] = True
+            order.append(v)
+            bits.extend(row)
+            extend(pos + 1)
+            del bits[len(bits) - pos:]
+            order.pop()
+            used[v] = False
+
+    extend(0)
+    assert best_bits is not None
+    return (tuple(sorted(color_keys)), best_bits)
+
+
+def _blow_up(rng, n_max):
+    """A random quotient graph with each vertex replaced by a module of one
+    to three twins, all adjacent (true twins) or none (false twins)."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    while sum(sizes) > n_max:
+        sizes.pop()
+    mods, v = [], 0
+    for size in sizes:
+        mods.append(range(v, v + size))
+        v += size
+    edges = []
+    for i, j in itertools.combinations(range(len(mods)), 2):
+        if rng.random() < 0.5:
+            edges += [(a, b) for a in mods[i] for b in mods[j]]
+    for mod in mods:
+        if rng.random() < 0.5:
+            edges += itertools.combinations(mod, 2)
+    return Graph(v, edges)
+
+
+def _attachment_colors(rng, n):
+    """Colors shaped like prune's: sorted tuples of attachment vertices."""
+    return [tuple(sorted(rng.sample(range(3), rng.randint(0, 2)))) for _ in range(n)]
+
+
+def test_canonical_form_keys_equal_the_reference_search():
+    rng = random.Random(17)
+    graphs = [g for n in range(7) for g in all_graph_classes(n)]
+    graphs += [_blow_up(rng, 8) for _ in range(300)]
+    for g in graphs:
+        for colors in (None, _attachment_colors(rng, g.n)):
+            assert repr(canonical_form(g, colors)) == repr(
+                _reference_canonical_form(g, colors)), (g.n, g.edges(), colors)
+
+
+def test_canonical_form_agrees_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+
+    def nx_graph(g, colors):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"c": colors[v]}) for v in range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    same = 0
+    for trial in range(400):
+        if trial % 2:
+            g = _blow_up(rng, 8)
+        else:
+            n = rng.randint(1, 8)
+            p = rng.random()
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        n = g.n
+        colored = trial % 4 >= 2
+        colors = _attachment_colors(rng, n) if colored else [()] * n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges()}
+        h_colors = [None] * n
+        for v in range(n):
+            h_colors[perm[v]] = colors[v]
+        if n >= 2 and rng.random() < 0.5:  # perturb: often no longer isomorphic
+            if colored and rng.random() < 0.5:
+                h_colors[rng.randrange(n)] = (rng.randrange(3),)
+            else:
+                edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        h = Graph(n, sorted(edges))
+        iso = nx.is_isomorphic(nx_graph(g, colors), nx_graph(h, h_colors),
+                               node_match=lambda a, b: a["c"] == b["c"])
+        same += iso
+        assert (canonical_form(g, colors if colored else None)
+                == canonical_form(h, h_colors if colored else None)) == iso, (
+            g.edges(), colors, h.edges(), h_colors)
+    assert 100 < same < 350  # both outcomes are well represented
+
+
+def test_canonical_form_is_fast_on_twin_classes():
+    # the reference search tries every equal-keyed vertex at every
+    # position, so each of these inputs runs for minutes or longer
+    code = textwrap.dedent("""
+        import itertools
+        from fbranch.atlas import tree_classes
+        from fbranch.canonical import canonical_form
+        from fbranch.graph import Graph
+        canonical_form(Graph(41, [(0, v) for v in range(1, 41)]))
+        canonical_form(Graph(22, [(a, b) for a in (0, 1) for b in range(2, 22)]))
+        canonical_form(Graph(12, list(itertools.combinations(range(12), 2))))
+        assert len(tree_classes(10)) == 106
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_canonical_form_basic():
@@ -27,7 +179,6 @@ def test_canonical_form_with_colors():
 
 
 def test_canonical_form_permutation_invariant():
-    import random
     rng = random.Random(3)
     for _ in range(25):
         n = rng.randint(1, 7)
@@ -88,6 +239,12 @@ def test_tree_classes_against_prufer():
                        for seq in itertools.product(range(n), repeat=n - 2)]
         brute = {canonical_form(t) for t in labeled}
         assert {canonical_form(t) for t in tree_classes(n)} == brute
+
+
+def test_tree_classes_with_no_room_are_empty():
+    assert tree_classes(3, max_degree=0) == ()
+    assert tree_classes(4, max_degree=1) == ()
+    assert len(tree_classes(5, max_degree=2)) == 1
 
 
 def test_subcubic_tree_classes():

@@ -107,6 +107,13 @@ def test_treedepth_validate_rejects_parent_map_off_the_vertices():
         with pytest.raises(ValidationError):
             TreedepthDecomposition(parent).validate(g)
 
+
+def test_treedepth_validate_rejects_edge_outside_the_closure():
+    # edge (0, 1) joins two roots, so neither endpoint is the other's ancestor
+    with pytest.raises(ValidationError, match="forest closure"):
+        TreedepthDecomposition({0: None, 1: None, 2: 1}).validate(path(3))
+
+
 def test_treedepth_limit():
     with pytest.raises(SizeLimitError):
         treedepth_decomposition(Graph(13))
