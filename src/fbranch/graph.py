@@ -235,32 +235,15 @@ def exact_treewidth(g: Graph) -> int:
 
     ``tw[S]`` is the best width achievable when the vertices of ``S`` have
     already been eliminated; eliminating ``v`` next costs the number of
-    vertices outside ``S + v`` reachable from ``v`` through ``S + v``.
+    vertices outside ``S + v`` adjacent to v's component inside ``S + v``.
+    A vertex whose ``tw[S]`` already reaches the best width found is skipped.
     """
     n = g.n
     if n > TREEWIDTH_MAX_N:
         raise SizeLimitError(f"exact treewidth limited to n <= {TREEWIDTH_MAX_N}, got {n}")
     if n == 0:
         return -1
-    adj_masks = _adjacency_masks(g)
-
-    def elim_cost(s_mask: int, v: int) -> int:
-        # vertices outside s+v reachable from v via paths inside s+v
-        inside = s_mask | (1 << v)
-        seen = 1 << v
-        stack = [v]
-        reach = 0
-        while stack:
-            u = stack.pop()
-            for w_mask in _iter_bits(adj_masks[u] & ~seen):
-                w = w_mask.bit_length() - 1
-                seen |= w_mask
-                if (1 << w) & inside:
-                    stack.append(w)
-                else:
-                    reach |= w_mask
-        return reach.bit_count()
-
+    nbr = _adjacency_masks(g)
     full = (1 << n) - 1
     tw = [0] * (full + 1)
     for s in range(1, full + 1):
@@ -269,13 +252,31 @@ def exact_treewidth(g: Graph) -> int:
         while rest:
             v_bit = rest & -rest
             rest ^= v_bit
-            v = v_bit.bit_length() - 1
-            prev = s ^ v_bit
-            cand = max(tw[prev], elim_cost(prev, v))
+            prev = tw[s ^ v_bit]
+            if prev >= best:
+                continue
+            near = _component(nbr, v_bit, s)[1]
+            cand = max(prev, (near & ~s).bit_count())
             if cand < best:
                 best = cand
         tw[s] = best
     return tw[full]
+
+
+def _component(nbr: Sequence[int], start: int, inside: int) -> tuple[int, int]:
+    """Component of the vertex mask ``start`` in the subgraph induced on the
+    mask ``inside``, grown by frontiers, with the union of its vertices'
+    neighbour masks."""
+    comp = front = start
+    near = 0
+    while front:
+        while front:
+            bit = front & -front
+            near |= nbr[bit.bit_length() - 1]
+            front ^= bit
+        front = near & inside & ~comp
+        comp |= front
+    return comp, near
 
 
 def _adjacency_masks(g: Graph) -> list[int]:

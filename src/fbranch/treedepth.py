@@ -2,7 +2,9 @@
 calculators that justify the pruning thresholds.
 
 A rooted forest whose closure contains the graph certifies treedepth; the
-exact solver recurses on vertex removal with memoization.  Pruning walks
+exact solver is a branch and bound over vertex masks: each root of a
+connected set is searched only below the best height found so far, and a
+set whose search hits its cap keeps the lower bound it proved.  Pruning walks
 the decomposition bottom-up, groups sibling subtrees by their attachment-
 colored canonical form, and keeps only a bounded number per class.  The
 provably safe class bound g(t, p) is computed but never prunes: its least
@@ -19,7 +21,7 @@ from math import comb
 
 from .canonical import canonical_form
 from .errors import SizeLimitError, ValidationError
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, _adjacency_masks, _component, induced_subgraph
 
 
 @dataclass
@@ -48,16 +50,25 @@ class TreedepthDecomposition:
     def validate(self, g: Graph) -> None:
         if set(self.parent) != set(range(g.n)):
             raise ValidationError("parent map must cover exactly the graph's vertices")
+        for v, p in self.parent.items():
+            if p is not None and p not in self.parent:
+                raise ValidationError(f"parent {p} of vertex {v} is not a vertex")
+            if v in self._ancestors(v):
+                raise ValidationError(f"parent map has a cycle through vertex {v}")
         for u, v in g.edges():
             au = self._ancestors(u)
             if v not in au and u not in self._ancestors(v):
                 raise ValidationError(f"edge ({u}, {v}) not in the forest closure")
 
     def _ancestors(self, v: int) -> set[int]:
+        """Ancestors of v; the walk stops after a root, after a parent
+        outside the map, or where it meets a vertex it already passed (a
+        cycle)."""
         out = set()
-        while self.parent[v] is not None:
-            v = self.parent[v]
+        v = self.parent[v]
+        while v is not None and v not in out:
             out.add(v)
+            v = self.parent.get(v)
         return out
 
 
@@ -65,48 +76,81 @@ TREEDEPTH_MAX_N = 12
 
 
 def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
-    """Exact minimum-height rooted forest via recursive vertex removal.
+    """Exact minimum-height rooted forest by branch and bound on vertex
+    masks.
 
-    The memo keeps, for each vertex set, its treedepth and the first root
-    (in ascending order) that attains it, or None for a disconnected set;
-    the forest is then hung from the memo in one pass from the top."""
+    ``depth(s, bound)`` returns td(s) when it is below ``bound``, and
+    otherwise a lower bound that is at least ``bound``.  A connected set
+    tries each root in ascending order with cap ``incumbent - 1``, and a
+    root replaces the incumbent only when strictly lower, so the first root
+    that attains the minimum is kept.  ``exact`` holds each solved set's
+    treedepth and that root, or None for a disconnected set; ``low`` holds
+    the lower bound of a set whose search hit its cap.  The forest is then
+    hung from ``exact`` in one pass from the top."""
     if g.n > TREEDEPTH_MAX_N:
         raise SizeLimitError(
             f"exact treedepth limited to n <= {TREEDEPTH_MAX_N}, got {g.n}")
-    memo: dict[frozenset[int], tuple[int, int | None]] = {}
+    nbr = _adjacency_masks(g)
+    exact: dict[int, tuple[int, int | None]] = {0: (0, None)}
+    low: dict[int, int] = {}
 
-    def depth(vertices: frozenset[int]) -> int:
-        if not vertices:
-            return 0
-        hit = memo.get(vertices)
+    def components(s: int) -> list[int]:
+        comps = []
+        while s:
+            comp = _component(nbr, s & -s, s)[0]
+            comps.append(comp)
+            s ^= comp
+        return comps
+
+    def depth(s: int, bound: int) -> int:
+        hit = exact.get(s)
         if hit is not None:
             return hit[0]
-        comps = connected_components(g, vertices)
+        floor = low.get(s, 1)
+        if floor >= bound:
+            return floor
+        comps = components(s)
         if len(comps) > 1:
-            best: tuple[int, int | None] = (max(map(depth, comps)), None)
-        else:
-            best = (len(vertices) + 1, None)
-            for v in sorted(vertices):
-                h = depth(vertices - {v}) + 1
-                if h < best[0]:
-                    best = (h, v)
-        memo[vertices] = best
-        return best[0]
-
-    everything = frozenset(range(g.n))
-    depth(everything)
-    parent: dict[int, int | None] = {}
-    stack: list[tuple[frozenset[int], int | None]] = [(everything, None)]
-    while stack:
-        vertices, above = stack.pop()
-        if not vertices:
-            continue
-        root = memo[vertices][1]
+            height = 0
+            for comp in comps:
+                height = max(height, depth(comp, bound))
+                if height >= bound:
+                    low[s] = height
+                    return height
+            exact[s] = (height, None)
+            return height
+        best = fail = s.bit_count() + 1
+        root = None
+        rest = s
+        while rest and best > floor:
+            bit = rest & -rest
+            rest ^= bit
+            cap = min(best, bound)
+            h = depth(s ^ bit, cap - 1) + 1
+            if h < cap:
+                best, root = h, bit.bit_length() - 1
+            else:
+                fail = min(fail, h)
         if root is None:
-            stack += ((comp, above) for comp in connected_components(g, vertices))
+            low[s] = fail
+            return fail
+        exact[s] = (best, root)
+        return best
+
+    everything = (1 << g.n) - 1
+    depth(everything, g.n + 1)
+    parent: dict[int, int | None] = {}
+    stack: list[tuple[int, int | None]] = [(everything, None)]
+    while stack:
+        s, above = stack.pop()
+        if not s:
+            continue
+        root = exact[s][1]
+        if root is None:
+            stack += ((comp, above) for comp in components(s))
         else:
             parent[root] = above
-            stack.append((vertices - {root}, root))
+            stack.append((s ^ (1 << root), root))
     return TreedepthDecomposition(parent)
 
 

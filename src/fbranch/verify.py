@@ -193,10 +193,11 @@ def suite_component(seed: int = 0, count: int = 100, max_n: int = 8) -> SuiteRes
         n = rng.randint(2, max_n)
         g = _random_disconnected(rng, n)
         comps = connected_components(g)
+        ev = CutEvaluator(g)
         for sel in PRIMAL_UNIONS:
             # the enumerative solver never routes through components, so it
             # measures the whole graph independently of the law under test
-            whole = exact_branchwidth_enum(g, sel)[0]
+            whole = exact_branchwidth_enum(g, sel, evaluator=ev)[0]
             parts = [cache.width(induced_subgraph(g, c)[0], sel) for c in comps]
             expected = component_law_expected(g, parts, sel)
             res.tested += 1

@@ -196,6 +196,53 @@ def test_exact_treewidth_against_oracle():
         assert exact_treewidth(g) == brute_force_treewidth(g)
 
 
+def reference_treewidth(g):
+    """Reference elimination dp: a stack walk from v for every (set, vertex)
+    pair, and no vertex skipped."""
+    n = g.n
+    if n == 0:
+        return -1
+    adj = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+
+    def elim_cost(s_mask, v):
+        # vertices outside s+v reachable from v via paths inside s+v
+        inside = s_mask | (1 << v)
+        seen = 1 << v
+        stack = [v]
+        reach = 0
+        while stack:
+            u = stack.pop()
+            for w in range(n):
+                if adj[u] >> w & 1 and not seen >> w & 1:
+                    seen |= 1 << w
+                    if inside >> w & 1:
+                        stack.append(w)
+                    else:
+                        reach |= 1 << w
+        return bin(reach).count("1")
+
+    full = (1 << n) - 1
+    tw = [0] * (full + 1)
+    for s in range(1, full + 1):
+        tw[s] = min(max(tw[s ^ (1 << v)], elim_cost(s ^ (1 << v), v))
+                    for v in range(n) if s >> v & 1)
+    return tw[full]
+
+
+def test_exact_treewidth_matches_reference_dp():
+    import random
+    from fbranch.atlas import connected_graph_classes
+    for n in range(1, 8):
+        for g in connected_graph_classes(n):
+            assert exact_treewidth(g) == reference_treewidth(g)
+    rng = random.Random(23)
+    for n in range(1, 11):
+        for p in (0.2, 0.4, 0.6):
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                          if rng.random() < p])
+            assert exact_treewidth(g) == reference_treewidth(g)
+
+
 def test_exact_treewidth_limit():
     with pytest.raises(SizeLimitError):
         exact_treewidth(Graph(16))

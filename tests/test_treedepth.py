@@ -108,6 +108,21 @@ def test_treedepth_validate_rejects_parent_map_off_the_vertices():
             TreedepthDecomposition(parent).validate(g)
 
 
+def test_treedepth_validate_rejects_parent_outside_the_vertices():
+    with pytest.raises(ValidationError, match="not a vertex"):
+        TreedepthDecomposition({0: None, 1: 7}).validate(path(2))
+
+
+def test_treedepth_cyclic_parent_map_is_rejected_not_walked_forever():
+    for parent in ({0: 1, 1: 0}, {0: 1, 1: 2, 2: 1}):
+        td = TreedepthDecomposition(parent)
+        # the ancestor walk stops on the cycle, so these return
+        assert td.height <= len(parent) + 1
+        assert all(td.depth(v) <= len(parent) + 1 for v in parent)
+        with pytest.raises(ValidationError, match="cycle"):
+            td.validate(Graph(len(parent), [(0, 1)]))
+
+
 def test_treedepth_validate_rejects_edge_outside_the_closure():
     # edge (0, 1) joins two roots, so neither endpoint is the other's ancestor
     with pytest.raises(ValidationError, match="forest closure"):
@@ -342,3 +357,26 @@ def test_treedepth_and_prune_match_reference(monkeypatch):
         out, record = prune_by_treedepth(g)
         assert solved[-1].parent == parent
         assert (out, record.removed) == reference_prune(g, parent)
+
+
+def test_treedepth_matches_reference_on_capped_searches():
+    # dense and long inputs, where most roots are cut off by the incumbent
+    # and many vertex sets are searched again under a larger cap
+    def grid(rows, cols):
+        return Graph(rows * cols,
+                     [(r * cols + c, r * cols + c + 1)
+                      for r in range(rows) for c in range(cols - 1)]
+                     + [(r * cols + c, (r + 1) * cols + c)
+                        for r in range(rows - 1) for c in range(cols)])
+
+    graphs = [Graph(12, list(itertools.combinations(range(12), 2))),
+              Graph(12, [(i, (i + 1) % 12) for i in range(12)]),
+              path(12), grid(3, 4)]
+    rng = random.Random(18)
+    for p in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9):
+        graphs.append(Graph(12, [e for e in itertools.combinations(range(12), 2)
+                                 if rng.random() < p]))
+    for g in graphs:
+        td = treedepth_decomposition(g)
+        td.validate(g)
+        assert td.parent == reference_treedepth_parent(g)
