@@ -172,7 +172,8 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
             best = tuple(pairs)
             if depth >= cap:
                 raise _Capped
-        while cand_x and depth + min(cand_x.bit_count(), cand_y.bit_count()) > len(best):
+        count_y = cand_y.bit_count()
+        while cand_x and depth + min(cand_x.bit_count(), count_y) > len(best):
             bit = cand_x & -cand_x
             cand_x ^= bit
             x = bit.bit_length() - 1

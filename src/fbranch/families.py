@@ -57,9 +57,17 @@ def pattern_has_edge(family: Family, i: int, j: int) -> bool:
 
 def _pattern_size(family: Family, q: int) -> int:
     """Edge count of the family's size-q pattern."""
-    return {Family.EMPTY: 0, Family.MATCH: q, Family.CHAIN: q * (q + 1) // 2,
-            Family.CHAINSTRICT: q * (q - 1) // 2, Family.ANTIMATCH: q * q - q,
-            Family.COMPLETE: q * q}[family]
+    if family is Family.EMPTY:
+        return 0
+    if family is Family.MATCH:
+        return q
+    if family is Family.CHAIN:
+        return q * (q + 1) // 2
+    if family is Family.CHAINSTRICT:
+        return q * (q - 1) // 2
+    if family is Family.ANTIMATCH:
+        return q * q - q
+    return q * q  # COMPLETE
 
 
 def pattern_edges(family: Family, q: int) -> frozenset[tuple[int, int]]:

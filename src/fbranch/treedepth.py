@@ -42,6 +42,8 @@ class TreedepthDecomposition:
         out: dict[int, list[int]] = {v: [] for v in self.parent}
         for v, p in self.parent.items():
             if p is not None:
+                if p not in out:
+                    raise ValidationError(f"parent {p} of vertex {v} is not a vertex")
                 out[p].append(v)
         for lst in out.values():
             lst.sort()

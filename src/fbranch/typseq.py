@@ -6,6 +6,15 @@ whenever all entries of the window [i, j] lie between s_i and s_j (weakly
 monotone bound in either direction).  The fixpoint is unique; sequences
 equal to their own compression are called typical.
 
+Compression runs online, one entry at a time (``_kept``).  By uniqueness
+of the fixpoint, tau(s + [x]) = tau(tau(s) + [x]), and on a typical t the
+only operations x can enable are the ones ending at x: a repeat of t[-1],
+or a window t[i..] + [x] bounded by t[i] and x.  Deleting the interior of
+the longest such window leaves t[:i + 1] + [x], which admits no further
+operation (a window ending there would extend to a longer one in t + [x]),
+so it is the fixpoint.  Typical prefixes, enumeration and the interleaving
+walk all extend by this one step.
+
 A bottom marker is representable as ``BOTTOM`` (infinity): it absorbs
 sums and compares greater than every natural.
 """
@@ -35,37 +44,44 @@ def to_sequence(entries: Iterable[Entry]) -> Seq:
     return out
 
 
+def _kept(t: list[Entry], x: Entry) -> int:
+    """For a typical t, the k with tau(t + [x]) == t[:k] + [x].
+
+    One backward scan over the windows t[i..] + [x], keeping the min and
+    max of their interiors t[i + 1..]; the smallest i whose interior lies
+    between t[i] and x wins.  Once the interior has entries strictly on
+    both sides of x, no earlier t[i] can bound it, so the scan stops.
+    """
+    k = len(t)
+    if not k:
+        return 0
+    lo = hi = t[-1]
+    if lo == x:
+        return k - 1  # a repeat: t[:-1] + [x] is t
+    for i in range(k - 2, -1, -1):
+        a = t[i]
+        if (a <= lo and hi <= x) or (x <= lo and hi <= a):
+            k = i + 1
+        if a < lo:
+            lo = a
+        elif a > hi:
+            hi = a
+        if lo < x < hi:
+            break
+    return k
+
+
 def typical_of(s: Sequence[Entry]) -> Seq:
-    """The unique fixpoint of exhaustively applying both operations."""
-    cur = list(s)
-    if not cur:
+    """The unique fixpoint of exhaustively applying both operations,
+    built in one pass: each entry is appended to the compression of the
+    entries before it (``_kept``)."""
+    out: list[Entry] = []
+    for x in s:
+        del out[_kept(out, x):]
+        out.append(x)
+    if not out:
         raise ValueError("sequences must be nonempty")
-    changed = True
-    while changed:
-        changed = False
-        # remove consecutive repetitions in one sweep
-        dedup = [cur[0]]
-        for e in cur[1:]:
-            if e != dedup[-1]:
-                dedup.append(e)
-        if len(dedup) != len(cur):
-            changed = True
-        cur = dedup
-        # one application of the window operation, then rescan
-        n = len(cur)
-        done = False
-        for i in range(n):
-            if done:
-                break
-            for j in range(i + 2, n):
-                window = cur[i:j + 1]
-                lo, hi = cur[i], cur[j]
-                if all(lo <= x <= hi for x in window) or all(lo >= x >= hi for x in window):
-                    cur = cur[:i + 1] + cur[j:]
-                    changed = True
-                    done = True
-                    break
-    return tuple(cur)
+    return tuple(out)
 
 
 def is_typical(s: Sequence[Entry]) -> bool:
@@ -82,8 +98,8 @@ def enumerate_typical(k: int) -> list[Seq]:
     entries).
 
     Generated by depth-first extension: every prefix of a typical sequence
-    is typical, so extensions that create an applicable window operation
-    are pruned.  The search terminates on its own; a defensive cap of
+    is typical, so an extension is kept only when compressing it keeps
+    the whole prefix.  The search terminates on its own; a defensive cap of
     4k + 5 raises if generation runs past roughly twice the expected
     maximum length.
     """
@@ -95,25 +111,13 @@ def enumerate_typical(k: int) -> list[Seq]:
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
-    def extendable(nxt: int) -> bool:
-        # appending nxt must not enable the window operation ending here
-        m = len(prefix)
-        if m and prefix[-1] == nxt:
-            return False
-        for i in range(m - 1):
-            window = prefix[i:] + [nxt]
-            lo, hi = prefix[i], nxt
-            if all(lo <= x <= hi for x in window) or all(lo >= x >= hi for x in window):
-                return False
-        return True
-
     def walk():
         if len(prefix) > cap:
             raise RuntimeError("typical-sequence generation exceeded the defensive cap")
         if prefix:
             out.append(tuple(prefix))
         for v in range(k + 1):
-            if extendable(v):
+            if _kept(prefix, v) == len(prefix):
                 prefix.append(v)
                 walk()
                 prefix.pop()
@@ -148,6 +152,10 @@ def interleave(s: Sequence[Entry], t: Sequence[Entry]) -> set[Seq]:
     stutter-free walks (at most len(s) + len(t) - 1 positions) realize
     every result.  Longer extensions add nothing, which the test suite
     verifies against the literal extension enumeration.
+
+    The walk keeps the compression of its sums so far as a stack: each
+    step compresses one more sum onto it (``_kept``) and puts the deleted
+    tail back when it returns, so a leaf holds its result as it stands.
     """
     s = tuple(s)
     t = tuple(t)
@@ -161,16 +169,19 @@ def interleave(s: Sequence[Entry], t: Sequence[Entry]) -> set[Seq]:
     path: list[Entry] = []
 
     def walk(i: int, j: int):
-        path.append(s[i] + t[j])
+        x = s[i] + t[j]
+        k = _kept(path, x)
+        tail = path[k:]
+        path[k:] = [x]
         if i == m - 1 and j == n - 1:
-            out.add(typical_of(path))
+            out.add(tuple(path))
         if i + 1 < m:
             walk(i + 1, j)
         if j + 1 < n:
             walk(i, j + 1)
         if i + 1 < m and j + 1 < n:
             walk(i + 1, j + 1)
-        path.pop()
+        path[k:] = tail
 
     walk(0, 0)
     return out

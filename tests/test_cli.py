@@ -364,6 +364,20 @@ def test_python_dash_m_entry_points(module, c6, tmp_path):
     assert done.returncode == 2 and done.stderr.startswith("error:"), done
 
 
+def test_typical_interleave_of_eight_and_eight_runs_in_seconds():
+    # 501 compressions over the Delannoy walks of an 8 + 8 grid; a
+    # compressor that rescans from the start at every leaf takes several
+    # seconds here, the online one a small fraction of a second
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "fbranch", "typical", "--seq", "0,9,1,8,2,7,3,6",
+         "--interleave", "9,0,8,1,7,2,6,3"],
+        env=env, capture_output=True, text=True, timeout=3)
+    assert done.returncode == 0, done
+    assert len(done.stdout.splitlines()) == 501
+
+
 def test_readme_cli_lines_parse():
     """Every command line of the README's CLI block names only existing
     commands and options (parsed, not run)."""

@@ -113,6 +113,11 @@ def test_treedepth_validate_rejects_parent_outside_the_vertices():
         TreedepthDecomposition({0: None, 1: 7}).validate(path(2))
 
 
+def test_treedepth_children_rejects_parent_outside_the_vertices():
+    with pytest.raises(ValidationError, match="not a vertex"):
+        TreedepthDecomposition({0: None, 1: 7}).children()
+
+
 def test_treedepth_cyclic_parent_map_is_rejected_not_walked_forever():
     for parent in ({0: 1, 1: 0}, {0: 1, 1: 2, 2: 1}):
         td = TreedepthDecomposition(parent)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -48,6 +49,118 @@ def brute_force_typical(s):
         frontier = nxt
     assert len(fixpoints) == 1
     return fixpoints.pop()
+
+
+def reference_typical_of(s):
+    """Reference compressor by rescanning: remove repeats, apply the first
+    window operation found, and start over until neither applies."""
+    cur = list(s)
+    if not cur:
+        raise ValueError("sequences must be nonempty")
+    changed = True
+    while changed:
+        changed = False
+        # remove consecutive repetitions in one sweep
+        dedup = [cur[0]]
+        for e in cur[1:]:
+            if e != dedup[-1]:
+                dedup.append(e)
+        if len(dedup) != len(cur):
+            changed = True
+        cur = dedup
+        # one application of the window operation, then rescan
+        n = len(cur)
+        done = False
+        for i in range(n):
+            if done:
+                break
+            for j in range(i + 2, n):
+                window = cur[i:j + 1]
+                lo, hi = cur[i], cur[j]
+                if all(lo <= x <= hi for x in window) or all(lo >= x >= hi for x in window):
+                    cur = cur[:i + 1] + cur[j:]
+                    changed = True
+                    done = True
+                    break
+    return tuple(cur)
+
+
+def reference_enumerate_typical(k):
+    """Depth-first extension over {0..k}, keeping an extension when the
+    reference compressor leaves it as it is (every prefix of a typical
+    sequence is typical), sorted as ``enumerate_typical`` sorts."""
+    out = []
+
+    def walk(prefix):
+        if prefix:
+            out.append(prefix)
+        for v in range(k + 1):
+            ext = prefix + (v,)
+            if reference_typical_of(ext) == ext:
+                walk(ext)
+
+    walk(())
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def reference_interleave(s, t):
+    """The results of the stutter-free walks through the index grid, from
+    each walk prefix compressed by the reference (the concat law lets a
+    walk continue from its compressed prefix, so equal states are shared)."""
+    @functools.cache
+    def results(i, j, before):
+        cur = reference_typical_of(before + (s[i] + t[j],))
+        out = set()
+        if i == len(s) - 1 and j == len(t) - 1:
+            out.add(cur)
+        if i + 1 < len(s):
+            out |= results(i + 1, j, cur)
+        if j + 1 < len(t):
+            out |= results(i, j + 1, cur)
+        if i + 1 < len(s) and j + 1 < len(t):
+            out |= results(i + 1, j + 1, cur)
+        return frozenset(out)
+
+    return set(results(0, 0, ()))
+
+
+def test_typical_matches_reference_on_every_short_sequence():
+    count = 0
+    for ln in range(1, 9):
+        for s in itertools.product(range(4), repeat=ln):
+            assert typical_of(s) == reference_typical_of(s), s
+            count += 1
+    assert count == 87380
+
+
+def test_typical_matches_reference_with_bottom():
+    rng = random.Random(31)
+    alphabet = (0, 1, 2, 3, 4, 5, BOTTOM)
+    for _ in range(5000):
+        s = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 14)))
+        assert typical_of(s) == reference_typical_of(s), s
+    with pytest.raises(ValueError):
+        typical_of(())
+
+
+def test_enumerate_typical_matches_reference():
+    for k in range(0, 7):
+        assert enumerate_typical(k) == reference_enumerate_typical(k)
+
+
+def test_interleave_matches_reference():
+    rng = random.Random(37)
+    pool = [q for q in reference_enumerate_typical(4) if len(q) <= 8]
+    eights = [q for q in pool if len(q) == 8]
+    pairs = [(rng.choice(eights), rng.choice(eights)) for _ in range(3)]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+    # typicality depends only on the order of the entries, so mapping the
+    # largest entry to BOTTOM keeps a sequence typical
+    pairs = [(s, tuple(BOTTOM if e == 4 else e for e in t)) if n % 2 else (s, t)
+             for n, (s, t) in enumerate(pairs)]
+    pairs.append(((0, 9, 1, 8, 2, 7, 3, 6), (9, 0, 8, 1, 7, 2, 6, 3)))
+    for s, t in pairs:
+        assert interleave(s, t) == reference_interleave(s, t), (s, t)
 
 
 def test_typical_examples():
