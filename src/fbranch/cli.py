@@ -137,10 +137,10 @@ def cmd_typical(args) -> int:
         for s in enumerate_typical(args.enumerate):
             sys.stdout.write(format_sequence(s) + "\n")
         return 0
-    if not args.seq:
+    if args.seq is None:
         raise FBranchError("typical needs --seq or --enumerate")
     s = parse_sequence(args.seq)
-    if args.interleave:
+    if args.interleave is not None:
         t = parse_sequence(args.interleave)
         for r in sorted(interleave(typical_of(s), typical_of(t))):
             sys.stdout.write(format_sequence(r) + "\n")

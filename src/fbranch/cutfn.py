@@ -17,6 +17,10 @@ at the cap is only a lower bound.  The solvers ask only whether a cut is
 below their incumbent width, so they pass the incumbent as the cap of
 ``CutEvaluator.value_of_mask``, the one cut-value query; its cache keeps
 a value with its witness when it is exact and a lower bound otherwise.
+A query runs no Python-level hash and builds no list: the selector keeps
+its families in ``FAMILY_ORDER`` once, ``Family`` hashes by identity, and
+the evaluator builds the complemented neighbour masks once per graph,
+which the cut graphs of its misses carry.
 
 The twin-class count needs no search.  ``ntc_table`` fills the value of
 every mask at once, bit-sliced (each mask is one bit of 2^n-bit integers),
@@ -31,19 +35,11 @@ search over ordered partner selections that shares nothing with the engine
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 from .errors import ParseError, SizeLimitError
-from .families import (
-    FAMILY_ORDER,
-    PRIMAL_FAMILIES,
-    Family,
-    OrderedBipartiteGraph,
-    classify_si,
-    pattern_has_edge,
-)
-from .graph import BipartiteCutGraph, Graph, _adjacency_masks, _iter_bits, mask_of
+from .families import FAMILY_ORDER, PRIMAL_FAMILIES, Family, pattern_has_edge
+from .graph import BipartiteCutGraph, Graph, _adjacency_masks, _iter_bits
 
 
 @dataclass(frozen=True)
@@ -53,12 +49,16 @@ class FamilySelector:
 
     families: frozenset[Family] = frozenset()
     ntc: bool = False
+    # the families in FAMILY_ORDER, the order in which queries search them
+    ordered: tuple[Family, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ntc and self.families:
             raise ValueError("ntc mode excludes pattern families")
         if not self.ntc and not self.families:
             raise ValueError("selector needs at least one family (or ntc)")
+        object.__setattr__(self, "ordered",
+                           tuple(f for f in FAMILY_ORDER if f in self.families))
 
     @staticmethod
     def of(*families: Family) -> "FamilySelector":
@@ -92,7 +92,7 @@ class FamilySelector:
     def name(self) -> str:
         if self.ntc:
             return "ntc"
-        return ",".join(f.value for f in sorted(self.families, key=FAMILY_ORDER.index))
+        return ",".join(f.value for f in self.ordered)
 
 
 PRIMAL = FamilySelector(families=PRIMAL_FAMILIES)
@@ -119,34 +119,10 @@ class PatternWitness:
 EMPTY_WITNESS = PatternWitness(None, 0)
 
 
-def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
-    """Re-check a witness: its value, sides and induced pattern must agree.
-
-    Witnesses produced through the memoizing evaluator may be oriented by
-    the opposite side of the cut; every family is closed under swapping the
-    sides (up to reordering the pairs), so both orientations are accepted.
-    Swapping is swapping the two side masks: the neighbour masks serve both.
-    The pattern checked is the ordered bipartite graph the pairs induce.
-    """
-    if witness.value != len(witness.pairs):
-        return witness.value == 0 and not witness.pairs
-    if witness.value == 0:
-        return True
-    xs = tuple(x for x, _ in witness.pairs)
-    ys = tuple(y for _, y in witness.pairs)
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        return False
-    xm, ym = mask_of(xs), mask_of(ys)
-    if not any(xm & ~side_x == 0 and ym & ~side_y == 0
-               for side_x, side_y in ((b.x_mask, b.y_mask), (b.y_mask, b.x_mask))):
-        return False
-    q = len(xs)
-    edges = frozenset((i, j) for i in range(q) for j in range(q) if b.has_edge(xs[i], ys[j]))
-    return witness.family in classify_si(OrderedBipartiteGraph(q, edges))
-
-
 # The three searches return the best partner pairs (x, y) in pattern order;
 # each stops, by raising _Capped, once its best pattern has ``cap`` pairs.
+# ``size`` is the length of ``best`` and ``depth`` that of the partial
+# pattern, both kept as ints.
 
 
 class _Capped(Exception):
@@ -163,24 +139,24 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     tie (on a complete cut this keeps the search linear)."""
     nbr = b.nbr
     best: tuple[tuple[int, int], ...] = ()
+    size = 0
     pairs: list[tuple[int, int]] = []
 
-    def extend(cand_x: int, cand_y: int):
-        nonlocal best
-        depth = len(pairs)
-        if depth > len(best):
-            best = tuple(pairs)
+    def extend(cand_x: int, cand_y: int, depth: int):
+        nonlocal best, size
+        if depth > size:
+            best, size = tuple(pairs), depth
             if depth >= cap:
                 raise _Capped
         count_y = cand_y.bit_count()
-        while cand_x and depth + min(cand_x.bit_count(), count_y) > len(best):
+        while cand_x and count_y > size - depth and cand_x.bit_count() > size - depth:
             bit = cand_x & -cand_x
             cand_x ^= bit
             x = bit.bit_length() - 1
             rest_y = cand_y & ~nbr[x]
             if rest_y:
                 ys = cand_y ^ rest_y
-            elif depth < len(best):
+            elif depth < size:
                 continue
             else:
                 ys = cand_y & -cand_y
@@ -189,11 +165,11 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
                 ys ^= y_bit
                 y = y_bit.bit_length() - 1
                 pairs.append((x, y))
-                extend(cand_x & ~nbr[y], rest_y)
+                extend(cand_x & ~nbr[y], rest_y, depth + 1)
                 pairs.pop()
 
     try:
-        extend(b.x_mask, b.y_mask)
+        extend(b.x_mask, b.y_mask, 0)
     except _Capped:
         pass
     return best
@@ -204,29 +180,30 @@ def _biclique(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     min(|A|, |common neighbourhood of A|), A grown in ascending order."""
     nbr = b.nbr
     best: tuple[tuple[int, int], ...] = ()
+    size = 0
     chosen: list[int] = []
 
-    def extend(cand_x: int, common: int):
-        nonlocal best
-        value = min(len(chosen), common.bit_count())
-        if value > len(best):
+    def extend(cand_x: int, common: int, depth: int):
+        nonlocal best, size
+        count = common.bit_count()
+        value = depth if depth < count else count
+        if value > size:
             ys = [bit.bit_length() - 1 for bit in _iter_bits(common)]
-            best = tuple(zip(chosen[:value], ys[:value]))
+            best, size = tuple(zip(chosen[:value], ys[:value])), value
             if value >= cap:
                 raise _Capped
-        while (cand_x and common.bit_count() > len(best)
-               and len(chosen) + cand_x.bit_count() > len(best)):
+        while cand_x and count > size and depth + cand_x.bit_count() > size:
             bit = cand_x & -cand_x
             cand_x ^= bit
             x = bit.bit_length() - 1
             nxt = common & nbr[x]
-            if nxt.bit_count() > len(best):
+            if nxt.bit_count() > size:
                 chosen.append(x)
-                extend(cand_x, nxt)
+                extend(cand_x, nxt, depth + 1)
                 chosen.pop()
 
     try:
-        extend(b.x_mask, b.y_mask)
+        extend(b.x_mask, b.y_mask, 0)
     except _Capped:
         pass
     return best
@@ -239,32 +216,33 @@ def _chain(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
     the smaller candidate side."""
     nbr = b.nbr
     best: tuple[tuple[int, int], ...] = ()
+    size = 0
     pairs: list[tuple[int, int]] = []
 
-    def extend(cand_x: int, cand_y: int):
-        nonlocal best
-        depth = len(pairs)
-        if depth > len(best):
-            best = tuple(pairs)
+    def extend(cand_x: int, cand_y: int, depth: int):
+        nonlocal best, size
+        if depth > size:
+            best, size = tuple(pairs), depth
             if depth >= cap:
                 raise _Capped
-        room = depth + min(cand_x.bit_count(), cand_y.bit_count())
+        count_x, count_y = cand_x.bit_count(), cand_y.bit_count()
+        room = depth + (count_x if count_x < count_y else count_y)
         xs = cand_x
-        while xs and room > len(best):
+        while xs and room > size:
             bit = xs & -xs
             xs ^= bit
             x = bit.bit_length() - 1
             ys = nbr[x] & cand_y
-            while ys and room > len(best):
+            while ys and room > size:
                 y_bit = ys & -ys
                 ys ^= y_bit
                 y = y_bit.bit_length() - 1
                 pairs.append((x, y))
-                extend((cand_x ^ bit) & ~nbr[y], (cand_y ^ y_bit) & nbr[x])
+                extend((cand_x ^ bit) & ~nbr[y], (cand_y ^ y_bit) & nbr[x], depth + 1)
                 pairs.pop()
 
     try:
-        extend(b.x_mask, b.y_mask)
+        extend(b.x_mask, b.y_mask, 0)
     except _Capped:
         pass
     return best
@@ -308,16 +286,6 @@ def _ntc_cut_value(adj: list[int], mask: int, rest: int) -> int:
         else:
             ys.add(nbrs & mask)
     return max(len(xs), len(ys))
-
-
-def ntc_value(g: Graph, side_x: Iterable[int]) -> int:
-    """Number of classes of X under equal neighbourhood outside X.  This
-    counts one side only; the cut function of the ``ntc`` selector
-    (``CutEvaluator``) is the larger of this count for X and for V - X."""
-    x = mask_of(side_x)
-    rest = ((1 << g.n) - 1) ^ x
-    adj = _adjacency_masks(g)
-    return len({adj[v] & rest for v in range(g.n) if x >> v & 1})
 
 
 _BIT = [bytes(x >> b & 1 for x in range(256)) for b in range(8)]  # byte -> its bit b
@@ -427,11 +395,14 @@ class CutEvaluator:
     share the per-family work.  An entry is ``(value, witness)`` when exact,
     or ``(lower bound, None)`` when a capped search reached its cap; a
     larger cap searches again.  Twin-class values are computed, not cached.
+    The complemented neighbour masks are built once, here, and every cut
+    graph of a miss carries them, so ``complement`` builds no list.
     """
 
     def __init__(self, g: Graph):
         self._full = (1 << g.n) - 1
         self._adj = _adjacency_masks(g)
+        self._comp = [~m for m in self._adj]
         self._values: dict[Family, dict[int, tuple[int, PatternWitness | None]]] = {
             family: {} for family in FAMILY_ORDER}
 
@@ -439,12 +410,14 @@ class CutEvaluator:
                              ) -> tuple[int, PatternWitness | None]:
         """The family's value across the cut with its witness when it is
         below ``cap``, otherwise ``(lower bound >= cap, None)``."""
-        mask = min(mask, self._full ^ mask)
+        rest = self._full ^ mask
+        if rest < mask:
+            mask, rest = rest, mask
         values = self._values[family]
         hit = values.get(mask)
         if hit is None or hit[1] is None and hit[0] < cap:
             value, witness = family_value(
-                BipartiteCutGraph(mask, self._full ^ mask, self._adj), family, cap)
+                BipartiteCutGraph(mask, rest, self._adj, self._comp), family, cap)
             hit = values[mask] = (value, witness if value < cap else None)
         return hit
 
@@ -457,11 +430,10 @@ class CutEvaluator:
         if sel.ntc:
             return _ntc_cut_value(self._adj, mask, self._full ^ mask), EMPTY_WITNESS
         best = (0, EMPTY_WITNESS)
-        for family in FAMILY_ORDER:
-            if family in sel.families:
-                hit = self.family_value_of_mask(mask, family, cap)
-                if hit[0] >= cap:
-                    return hit[0], None
-                if hit[0] > best[0]:
-                    best = hit
+        for family in sel.ordered:
+            hit = self.family_value_of_mask(mask, family, cap)
+            if hit[0] >= cap:
+                return hit[0], None
+            if hit[0] > best[0]:
+                best = hit
         return best

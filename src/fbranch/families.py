@@ -34,6 +34,10 @@ class Family(Enum):
     ANTIMATCH = "antimatch"
     COMPLETE = "complete"
 
+    # members are singletons compared by identity, so the identity hash is
+    # safe, and it is C-level where Enum's own is a Python call per lookup
+    __hash__ = object.__hash__
+
 
 FAMILY_ORDER = tuple(Family)
 

@@ -184,15 +184,18 @@ class BipartiteCutGraph:
     (for a cut of a graph, the graph's own).  Only the bits of ``nbr[v]`` on
     the other side of the cut count: every search ANDs ``nbr[x]`` with
     candidates inside the other side, and ``~nbr[x]`` serves the bipartite
-    complement.  Swapping the two side masks gives the same cut seen from
-    Y."""
+    complement.  ``comp``, when given, is ``[~m for m in nbr]``, built once
+    per graph so that ``complement`` allocates nothing.  Swapping the two
+    side masks gives the same cut seen from Y."""
 
-    __slots__ = ("x_mask", "y_mask", "nbr")
+    __slots__ = ("x_mask", "y_mask", "nbr", "comp")
 
-    def __init__(self, x_mask: int, y_mask: int, nbr: Sequence[int]):
+    def __init__(self, x_mask: int, y_mask: int, nbr: Sequence[int],
+                 comp: Sequence[int] | None = None):
         self.x_mask = x_mask
         self.y_mask = y_mask
         self.nbr = nbr
+        self.comp = comp
 
     @property
     def x_vertices(self) -> tuple[int, ...]:
@@ -213,7 +216,8 @@ class BipartiteCutGraph:
 
     def complement(self) -> "BipartiteCutGraph":
         """Bipartite complement: crossing pairs become edges iff absent here."""
-        return BipartiteCutGraph(self.x_mask, self.y_mask, [~m for m in self.nbr])
+        comp = [~m for m in self.nbr] if self.comp is None else self.comp
+        return BipartiteCutGraph(self.x_mask, self.y_mask, comp, self.nbr)
 
     def __repr__(self) -> str:
         return (f"BipartiteCutGraph(|X|={self.x_mask.bit_count()}, "

@@ -195,6 +195,15 @@ def test_typical_bad_sequence_entry_exit_code(capsys):
     assert_one_error_line(code, err)
 
 
+@pytest.mark.parametrize("argv", [("--seq", "1,2", "--interleave", ""), ("--seq", "")])
+def test_typical_empty_sequence_exit_code(capsys, argv):
+    # an empty value is given, not missing: it must not be dropped or
+    # reported as absent
+    code, out, err = run(capsys, "typical", *argv)
+    assert_one_error_line(code, err)
+    assert "sequences must be nonempty" in err and out == ""
+
+
 def test_typical_enumerate_over_limit_exit_code(capsys):
     code, _, err = run(capsys, "typical", "--enumerate", "9")
     assert_one_error_line(code, err)

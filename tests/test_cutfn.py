@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fbranch.atlas import all_graph_classes
 from fbranch.cutfn import (
     ALL_FAMILIES,
+    EMPTY_WITNESS,
     PRIMAL,
     CutEvaluator,
     FamilySelector,
@@ -14,13 +16,197 @@ from fbranch.cutfn import (
     family_value,
     generic_pattern_value,
     ntc_table,
-    ntc_value,
-    validate_witness,
 )
 from fbranch.decomp import decomposition_width, exact_branchwidth_dp, greedy_branchwidth
 from fbranch.errors import SizeLimitError
-from fbranch.families import FAMILY_ORDER, Family, pattern_edges
-from fbranch.graph import BipartiteCutGraph, Graph, _adjacency_masks, cut_graph, mask_of, set_of
+from fbranch.families import (
+    FAMILY_ORDER,
+    Family,
+    OrderedBipartiteGraph,
+    classify_si,
+    pattern_edges,
+)
+from fbranch.graph import (
+    BipartiteCutGraph,
+    Graph,
+    _adjacency_masks,
+    _iter_bits,
+    cut_graph,
+    mask_of,
+    set_of,
+)
+
+
+def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
+    """Re-check a witness: its value, sides and induced pattern must agree.
+
+    Witnesses produced through the memoizing evaluator may be oriented by
+    the opposite side of the cut; every family is closed under swapping the
+    sides (up to reordering the pairs), so both orientations are accepted.
+    Swapping is swapping the two side masks: the neighbour masks serve both.
+    The pattern checked is the ordered bipartite graph the pairs induce.
+    """
+    if witness.value != len(witness.pairs):
+        return witness.value == 0 and not witness.pairs
+    if witness.value == 0:
+        return True
+    xs = tuple(x for x, _ in witness.pairs)
+    ys = tuple(y for _, y in witness.pairs)
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        return False
+    xm, ym = mask_of(xs), mask_of(ys)
+    if not any(xm & ~side_x == 0 and ym & ~side_y == 0
+               for side_x, side_y in ((b.x_mask, b.y_mask), (b.y_mask, b.x_mask))):
+        return False
+    q = len(xs)
+    edges = frozenset((i, j) for i in range(q) for j in range(q) if b.has_edge(xs[i], ys[j]))
+    return witness.family in classify_si(OrderedBipartiteGraph(q, edges))
+
+
+def ntc_value(g: Graph, side_x) -> int:
+    """Number of classes of X under equal neighbourhood outside X.  This
+    counts one side only; the cut function of the ``ntc`` selector
+    (``CutEvaluator``) is the larger of this count for X and for V - X."""
+    x = mask_of(side_x)
+    rest = ((1 << g.n) - 1) ^ x
+    adj = _adjacency_masks(g)
+    return len({adj[v] & rest for v in range(g.n) if x >> v & 1})
+
+
+# Reference searches: the same walks reading ``len`` of the best and the
+# partial pattern at every node, and a ``family_value`` that complements the
+# neighbour masks per call.  The engine must return the same values and the
+# same pairs, in the same order.
+
+
+class _Capped(Exception):
+    pass
+
+
+def _reference_matching(b, cap):
+    nbr = b.nbr
+    best = ()
+    pairs = []
+
+    def extend(cand_x, cand_y):
+        nonlocal best
+        depth = len(pairs)
+        if depth > len(best):
+            best = tuple(pairs)
+            if depth >= cap:
+                raise _Capped
+        count_y = cand_y.bit_count()
+        while cand_x and depth + min(cand_x.bit_count(), count_y) > len(best):
+            bit = cand_x & -cand_x
+            cand_x ^= bit
+            x = bit.bit_length() - 1
+            rest_y = cand_y & ~nbr[x]
+            if rest_y:
+                ys = cand_y ^ rest_y
+            elif depth < len(best):
+                continue
+            else:
+                ys = cand_y & -cand_y
+            while ys:
+                y_bit = ys & -ys
+                ys ^= y_bit
+                y = y_bit.bit_length() - 1
+                pairs.append((x, y))
+                extend(cand_x & ~nbr[y], rest_y)
+                pairs.pop()
+
+    try:
+        extend(b.x_mask, b.y_mask)
+    except _Capped:
+        pass
+    return best
+
+
+def _reference_biclique(b, cap):
+    nbr = b.nbr
+    best = ()
+    chosen = []
+
+    def extend(cand_x, common):
+        nonlocal best
+        value = min(len(chosen), common.bit_count())
+        if value > len(best):
+            ys = [bit.bit_length() - 1 for bit in _iter_bits(common)]
+            best = tuple(zip(chosen[:value], ys[:value]))
+            if value >= cap:
+                raise _Capped
+        while (cand_x and common.bit_count() > len(best)
+               and len(chosen) + cand_x.bit_count() > len(best)):
+            bit = cand_x & -cand_x
+            cand_x ^= bit
+            x = bit.bit_length() - 1
+            nxt = common & nbr[x]
+            if nxt.bit_count() > len(best):
+                chosen.append(x)
+                extend(cand_x, nxt)
+                chosen.pop()
+
+    try:
+        extend(b.x_mask, b.y_mask)
+    except _Capped:
+        pass
+    return best
+
+
+def _reference_chain(b, cap):
+    nbr = b.nbr
+    best = ()
+    pairs = []
+
+    def extend(cand_x, cand_y):
+        nonlocal best
+        depth = len(pairs)
+        if depth > len(best):
+            best = tuple(pairs)
+            if depth >= cap:
+                raise _Capped
+        room = depth + min(cand_x.bit_count(), cand_y.bit_count())
+        xs = cand_x
+        while xs and room > len(best):
+            bit = xs & -xs
+            xs ^= bit
+            x = bit.bit_length() - 1
+            ys = nbr[x] & cand_y
+            while ys and room > len(best):
+                y_bit = ys & -ys
+                ys ^= y_bit
+                y = y_bit.bit_length() - 1
+                pairs.append((x, y))
+                extend((cand_x ^ bit) & ~nbr[y], (cand_y ^ y_bit) & nbr[x])
+                pairs.pop()
+
+    try:
+        extend(b.x_mask, b.y_mask)
+    except _Capped:
+        pass
+    return best
+
+
+_REFERENCE_SEARCHES = {
+    Family.EMPTY: (_reference_biclique, True),
+    Family.MATCH: (_reference_matching, False),
+    Family.CHAIN: (_reference_chain, False),
+    Family.CHAINSTRICT: (_reference_chain, True),
+    Family.ANTIMATCH: (_reference_matching, True),
+    Family.COMPLETE: (_reference_biclique, False),
+}
+
+
+def reference_family_value(b, family, cap=math.inf):
+    search, complemented = _REFERENCE_SEARCHES[family]
+    if complemented:
+        comp = BipartiteCutGraph(b.x_mask, b.y_mask, [~m for m in b.nbr])
+        pairs = search(comp, cap)[::-1]
+    else:
+        pairs = search(b, cap)
+    if not pairs:
+        return 0, EMPTY_WITNESS
+    return len(pairs), PatternWitness(family, len(pairs), pairs)
 
 
 def cycle(n):
@@ -320,6 +506,34 @@ def _capped_graphs():
     rng = random.Random(61)
     return [Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
             for n, p in ((5, 0.5), (6, 0.3), (7, 0.6), (8, 0.4), (9, 0.5))]
+
+
+def test_searches_return_the_reference_values_and_witnesses():
+    # every cut of every graph, every family, caps 1-5 and uncapped: the
+    # engine, with and without the evaluator's precomputed complement,
+    # returns exactly the reference's (value, pairs); the evaluator keys a
+    # cut by its smaller side mask and keeps no witness at the cap
+    for g in _capped_graphs():
+        adj = _adjacency_masks(g)
+        full = (1 << g.n) - 1
+        for cap in (1, 2, 3, 4, 5, math.inf):
+            ev = CutEvaluator(g)
+            for mask in range(full + 1):
+                plain = cut_graph(g, set_of(mask))
+                carried = BipartiteCutGraph(mask, full ^ mask, adj, [~m for m in adj])
+                small = cut_graph(g, set_of(min(mask, full ^ mask)))
+                for family in FAMILY_ORDER:
+                    ref = reference_family_value(plain, family, cap)
+                    for b in (plain, carried):
+                        value, witness = family_value(b, family, cap)
+                        assert (value, witness.pairs) == (ref[0], ref[1].pairs), (
+                            g, mask, family, cap)
+                    ref = reference_family_value(small, family, cap)
+                    value, witness = ev.family_value_of_mask(mask, family, cap)
+                    if ref[0] < cap:
+                        assert (value, witness.pairs) == (ref[0], ref[1].pairs)
+                    else:
+                        assert value == ref[0] and witness is None
 
 
 def test_capped_family_value_is_exact_below_the_cap():

@@ -683,7 +683,7 @@ def test_balanced_cut_corollaries_by_enumeration():
 
 
 def test_width_report_argmax_witness_validates():
-    from fbranch.cutfn import validate_witness
+    from test_cutfn import validate_witness
     from fbranch.graph import cut_graph as make_cut
     g = cycle(6)
     rep = decomposition_width(caterpillar(6), g, PRIMAL)
