@@ -10,7 +10,6 @@ augmentation is complete.  Results are cached per session.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Iterable
 
 from .canonical import canonical_form
@@ -65,15 +64,3 @@ def tree_classes(n: int, max_degree: int | None = None) -> tuple[Graph, ...]:
     # every tree has a leaf: join the new vertex to one vertex with room
     return _extend(n, tree_classes(n - 1, max_degree), lambda base: [
         1 << v for v in range(n - 1) if max_degree is None or base.degree(v) < max_degree])
-
-
-def brute_force_graph_classes(n: int) -> list[Graph]:
-    """Independent oracle: enumerate all labeled graphs on n vertices and
-    deduplicate by canonical form.  Only sensible for n <= 5 or so."""
-    pairs = list(combinations(range(n), 2))
-    seen: dict[tuple, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph(n, edges)
-        seen.setdefault(canonical_form(g), g)
-    return [seen[k] for k in sorted(seen)]

@@ -188,8 +188,8 @@ def _biclique(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
         count = common.bit_count()
         value = depth if depth < count else count
         if value > size:
-            ys = [bit.bit_length() - 1 for bit in _iter_bits(common)]
-            best, size = tuple(zip(chosen[:value], ys[:value])), value
+            ys = (bit.bit_length() - 1 for bit in _iter_bits(common))
+            best, size = tuple(zip(chosen, ys)), value
             if value >= cap:
                 raise _Capped
         while cand_x and count > size and depth + cand_x.bit_count() > size:

@@ -220,20 +220,6 @@ def _hierarchy_tree(n: int, clusters: tuple[int, ...]) -> BranchDecomposition:
     return _tree_from_splits(n, lambda m: (split[m], m ^ split[m]))
 
 
-def enumerate_decompositions(n: int) -> Iterator[BranchDecomposition]:
-    """All leaf-labeled unrooted binary trees on leaves 0..n-1, each exactly
-    once, in a fixed order; (2n-5)!! of them for n >= 3.
-
-    Leaves are the nodes 0..n-1 (mapped identically to vertices); internal
-    nodes are n..2n-3.
-    """
-    if n > ENUM_MAX_N:
-        raise SizeLimitError(
-            f"decomposition enumeration limited to n <= {ENUM_MAX_N}, got {n}")
-    for clusters in _hierarchies(n):
-        yield _hierarchy_tree(n, clusters)
-
-
 def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
                            evaluator: CutEvaluator | None = None
                            ) -> tuple[int, BranchDecomposition]:

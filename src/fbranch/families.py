@@ -94,9 +94,6 @@ class OrderedBipartiteGraph:
             if not (0 <= i < self.q and 0 <= j < self.q):
                 raise ValueError(f"edge index ({i}, {j}) out of range")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
     def induced(self, pairs: Sequence[int]) -> "OrderedBipartiteGraph":
         """Restriction to the given pair indices, in the given order."""
         pos = {p: k for k, p in enumerate(pairs)}

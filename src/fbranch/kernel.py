@@ -21,8 +21,8 @@ directions never change, and earlier runs stay too short: shortening each
 run in turn takes exactly the steps that re-finding the first long run
 after every contraction would take.
 
-Every reduction is recorded in a trace; replaying the trace on the input
-reproduces the kernel bit for bit.
+Every reduction is recorded in a trace; folding ``apply_step`` over the
+trace from the input reproduces the kernel bit for bit.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class UnimportantPath:
 
     vertices: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
     def validate(self, g: Graph) -> None:
         vs = self.vertices
         if len(set(vs)) != len(vs):
@@ -116,34 +112,6 @@ class KernelTrace:
     final_graph: Graph | None = None
     forest_shortcircuit: bool = False
     forest_width: int | None = None
-
-    def replay(self) -> Graph:
-        """Re-apply every recorded step to the input; must reproduce the
-        final graph exactly.  One adjacency keyed by input vertex ids is
-        edited in place, live[i] is the input id of label i, and the graph
-        is built once, at the end (folding ``apply_step`` is quadratic)."""
-        g = self.input_graph
-        adj = [set(s) for s in g.adj]
-        live = list(range(g.n))
-        for step in self.steps:
-            if isinstance(step, RuleOneStep):
-                for u, v in step.removed_bridges:
-                    adj[live[u]].discard(live[v])
-                    adj[live[v]].discard(live[u])
-                removed = set(step.removed_vertices)
-                live = [v for i, v in enumerate(live) if i not in removed]
-            else:
-                a, b = step.contracted_edge
-                keep, drop = live[min(a, b)], live[max(a, b)]
-                for w in adj[drop]:
-                    adj[w].discard(drop)
-                    if w != keep:
-                        adj[w].add(keep)
-                        adj[keep].add(w)
-                del live[max(a, b)]
-        index = {v: i for i, v in enumerate(live)}
-        return Graph(len(live), [(index[u], index[w]) for u in live for w in adj[u]
-                                 if index[u] < index[w]])
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,30 +209,6 @@ def _degree_two_runs(g: Graph) -> list[list[int]]:
             prev, cur = cur, step
         runs.append(walk)
     return runs
-
-
-def find_unimportant_path(g: Graph, min_len: int) -> UnimportantPath | None:
-    """A degree-two path of length exactly ``min_len`` carved from the
-    first maximal degree-two run (see ``_degree_two_runs``) that is long
-    enough, or None."""
-    if min_len < 1:
-        raise ValueError("min_len must be positive")
-    for walk in _degree_two_runs(g):
-        if len(walk) - 1 >= min_len:
-            return UnimportantPath(tuple(walk[: min_len + 1]))
-    return None
-
-
-def contract_path_edge(g: Graph, p: UnimportantPath
-                       ) -> tuple[Graph, ContractionStep]:
-    """Contract the middle edge of the path (any interior edge is safe; the
-    middle keeps both remnant halves long)."""
-    if p.length < MIN_PATH_LENGTH:
-        raise ValueError(f"path too short: length {p.length} < {MIN_PATH_LENGTH}")
-    p.validate(g)
-    mid = p.length // 2
-    step = ContractionStep(p.vertices, (p.vertices[mid], p.vertices[mid + 1]))
-    return _apply_contraction(g, step), step
 
 
 def kernelize_fes(g: Graph) -> KernelTrace:

@@ -22,8 +22,7 @@ sums and compares greater than every natural.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -125,21 +124,6 @@ def enumerate_typical(k: int) -> list[Seq]:
     walk()
     out.sort(key=lambda t: (len(t), t))
     return out
-
-
-def extensions(s: Sequence[Entry], length: int) -> Iterator[Seq]:
-    """All sequences obtained from s by repeating each entry at least once,
-    with total length exactly ``length``."""
-    m = len(s)
-    if length < m:
-        return
-    # compositions of `length` into m positive parts via cut points
-    for cuts in combinations(range(1, length), m - 1):
-        bounds = (0,) + cuts + (length,)
-        out = []
-        for idx in range(m):
-            out.extend([s[idx]] * (bounds[idx + 1] - bounds[idx]))
-        yield tuple(out)
 
 
 def interleave(s: Sequence[Entry], t: Sequence[Entry]) -> set[Seq]:

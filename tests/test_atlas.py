@@ -8,12 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fbranch.atlas import (
-    all_graph_classes,
-    brute_force_graph_classes,
-    connected_graph_classes,
-    tree_classes,
-)
+from fbranch.atlas import all_graph_classes, connected_graph_classes, tree_classes
 from fbranch.canonical import canonical_form
 from fbranch.graph import Graph, connected_components
 
@@ -188,6 +183,18 @@ def test_canonical_form_permutation_invariant():
         rng.shuffle(perm)
         h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
         assert canonical_form(g) == canonical_form(h)
+
+
+def brute_force_graph_classes(n):
+    """Independent oracle: enumerate all labeled graphs on n vertices and
+    deduplicate by canonical form.  Only sensible for n <= 5 or so."""
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = {}
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        g = Graph(n, edges)
+        seen.setdefault(canonical_form(g), g)
+    return [seen[k] for k in sorted(seen)]
 
 
 def test_graph_class_counts_against_brute_force():

@@ -10,6 +10,7 @@ import pytest
 import fbranch.cutfn
 from fbranch.cli import build_parser, main
 from fbranch.decomp import (
+    ENUM_MAX_N,
     GREEDY_MAX_N,
     decomposition_width,
     parse_decomposition,
@@ -224,6 +225,15 @@ def test_solve_greedy_over_limit_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--graph", str(big), "--solver", "greedy")
     assert_one_error_line(code, err)
     assert out == "" and str(GREEDY_MAX_N) in err
+
+
+def test_solve_enum_over_limit_exit_code(tmp_path, capsys):
+    n = ENUM_MAX_N + 1
+    big = tmp_path / "path.txt"
+    big.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "solve", "--graph", str(big), "--solver", "enum")
+    assert_one_error_line(code, err)
+    assert out == "" and str(ENUM_MAX_N) in err
 
 
 def caterpillar(n):

@@ -14,7 +14,6 @@ from fbranch.decomp import (
     decomposition_to_text,
     decomposition_width,
     edge_cuts,
-    enumerate_decompositions,
     exact_branchwidth_dp,
     exact_branchwidth_enum,
     find_balanced_edge,
@@ -71,6 +70,20 @@ def caterpillar(n):
     for s in range(n, nodes - 1):
         edges.append((s, s + 1))
     return BranchDecomposition(nodes, edges, {i: i for i in range(n)})
+
+
+def enumerate_decompositions(n):
+    """All leaf-labeled unrooted binary trees on leaves 0..n-1, each exactly
+    once, in a fixed order; (2n-5)!! of them for n >= 3.
+
+    Leaves are the nodes 0..n-1 (mapped identically to vertices); internal
+    nodes are n..2n-3.
+    """
+    if n > decomp.ENUM_MAX_N:
+        raise SizeLimitError(
+            f"decomposition enumeration limited to n <= {decomp.ENUM_MAX_N}, got {n}")
+    for clusters in decomp._hierarchies(n):
+        yield decomp._hierarchy_tree(n, clusters)
 
 
 def test_validate_examples():
@@ -182,7 +195,7 @@ def test_enumerate_unique_and_valid():
         assert key not in seen
         seen.add(key)
     with pytest.raises(SizeLimitError):
-        list(enumerate_decompositions(10))
+        exact_branchwidth_enum(Graph(10), MATCH)
 
 
 def test_exact_branchwidth_enum_examples():

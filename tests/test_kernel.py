@@ -13,11 +13,11 @@ from fbranch.kernel import (
     MIN_PATH_LENGTH,
     ContractionStep,
     KernelTrace,
+    RuleOneStep,
     UnimportantPath,
+    _degree_two_runs,
     apply_step,
-    contract_path_edge,
     feedback_edge_set,
-    find_unimportant_path,
     kernel_vertex_bound,
     kernelize_fes,
     reduce_bridges_isolated,
@@ -37,6 +37,59 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def find_unimportant_path(g, min_len):
+    """A degree-two path of length exactly ``min_len`` carved from the
+    first maximal degree-two run (see ``_degree_two_runs``) that is long
+    enough, or None: the stepwise reference for the kernel sweep."""
+    if min_len < 1:
+        raise ValueError("min_len must be positive")
+    for walk in _degree_two_runs(g):
+        if len(walk) - 1 >= min_len:
+            return UnimportantPath(tuple(walk[: min_len + 1]))
+    return None
+
+
+def contract_path_edge(g, p):
+    """Contract the middle edge of the path (any interior edge is safe; the
+    middle keeps both remnant halves long)."""
+    length = len(p.vertices) - 1
+    if length < MIN_PATH_LENGTH:
+        raise ValueError(f"path too short: length {length} < {MIN_PATH_LENGTH}")
+    p.validate(g)
+    mid = length // 2
+    step = ContractionStep(p.vertices, (p.vertices[mid], p.vertices[mid + 1]))
+    return apply_step(g, step), step
+
+
+def replay(trace):
+    """Re-apply every recorded step to the input; must reproduce the
+    final graph exactly.  One adjacency keyed by input vertex ids is
+    edited in place, live[i] is the input id of label i, and the graph
+    is built once, at the end (folding ``apply_step`` is quadratic)."""
+    g = trace.input_graph
+    adj = [set(s) for s in g.adj]
+    live = list(range(g.n))
+    for step in trace.steps:
+        if isinstance(step, RuleOneStep):
+            for u, v in step.removed_bridges:
+                adj[live[u]].discard(live[v])
+                adj[live[v]].discard(live[u])
+            removed = set(step.removed_vertices)
+            live = [v for i, v in enumerate(live) if i not in removed]
+        else:
+            a, b = step.contracted_edge
+            keep, drop = live[min(a, b)], live[max(a, b)]
+            for w in adj[drop]:
+                adj[w].discard(drop)
+                if w != keep:
+                    adj[w].add(keep)
+                    adj[keep].add(w)
+            del live[max(a, b)]
+    index = {v: i for i, v in enumerate(live)}
+    return Graph(len(live), [(index[u], index[w]) for u in live for w in adj[u]
+                             if index[u] < index[w]])
 
 
 def test_feedback_edge_set_examples():
@@ -149,7 +202,7 @@ def test_kernel_trace_replay():
         trace = kernelize_fes(g)
         if trace.forest_shortcircuit:
             continue
-        assert trace.replay() == trace.final_graph
+        assert replay(trace) == trace.final_graph
         assert trace.final_graph.n <= max(kernel_vertex_bound(trace.k), cyc_len)
 
 
@@ -286,7 +339,7 @@ def test_kernel_sweep_matches_stepwise_loop():
         assert trace.steps == expected.steps
         assert trace.final_graph == expected.final_graph
         assert trace.to_json_dict() == expected.to_json_dict()
-        assert trace.replay() == trace.final_graph
+        assert replay(trace) == trace.final_graph
 
 
 def _timing_input():
@@ -306,7 +359,7 @@ def test_replay_equals_folding_apply_step():
         folded = g
         for step in trace.steps:
             folded = apply_step(folded, step)
-        assert trace.replay() == folded == trace.final_graph
+        assert replay(trace) == folded == trace.final_graph
 
 
 def _subdivide_evenly(hubs, core_edges, t):
@@ -336,7 +389,7 @@ def test_kernel_past_the_target_meets_component_bounds():
         trace = kernelize_fes(g)
         assert trace.k == k and trace.final_graph.n == final_n > kernel_vertex_bound(k)
         _check_component_bounds(trace.final_graph)
-        assert trace.replay() == trace.final_graph
+        assert replay(trace) == trace.final_graph
         assert not bridges(trace.final_graph)
 
 
@@ -346,6 +399,6 @@ def test_kernel_subdivided_k4_sweep_matches_stepwise_loop():
     expected = _stepwise_kernel(g)
     trace = kernelize_fes(g)
     assert trace.steps == expected.steps
-    assert trace.final_graph == expected.final_graph == trace.replay()
+    assert trace.final_graph == expected.final_graph == replay(trace)
     assert trace.final_graph.n > kernel_vertex_bound(3)
     _check_component_bounds(trace.final_graph)

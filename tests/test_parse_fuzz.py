@@ -14,13 +14,13 @@ from fbranch.cutfn import FamilySelector
 from fbranch.decomp import (
     BranchDecomposition,
     decomposition_to_text,
-    enumerate_decompositions,
     parse_decomposition,
 )
 from fbranch.errors import ParseError
 from fbranch.families import FAMILY_ORDER, OrderedBipartiteGraph, parse_ordered_bipartite
 from fbranch.graph import Graph, graph_to_text, parse_graph
 from fbranch.typseq import BOTTOM, format_sequence, parse_sequence
+from test_decomp import enumerate_decompositions
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402

@@ -10,7 +10,6 @@ from fbranch.typseq import (
     BOTTOM,
     INTERLEAVE_MAX_LENGTH,
     enumerate_typical,
-    extensions,
     format_sequence,
     interleave,
     is_typical,
@@ -229,6 +228,21 @@ def test_enumerate_typical_bounds():
         assert all(len(s) <= 2 * k + 1 for s in seqs)
         assert len(seqs) <= math.ceil(8 / 3 * 2 ** (2 * k))
         assert len(set(seqs)) == len(seqs)
+
+
+def extensions(s, length):
+    """All sequences obtained from s by repeating each entry at least once,
+    with total length exactly ``length``."""
+    m = len(s)
+    if length < m:
+        return
+    # compositions of `length` into m positive parts via cut points
+    for cuts in itertools.combinations(range(1, length), m - 1):
+        bounds = (0,) + cuts + (length,)
+        out = []
+        for idx in range(m):
+            out.extend([s[idx]] * (bounds[idx + 1] - bounds[idx]))
+        yield tuple(out)
 
 
 def test_extensions():
