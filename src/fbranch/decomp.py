@@ -7,12 +7,13 @@ the leaves, hence the vertices, into the cut evaluated by the cut function.
 Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
 builder turns that into a tree; one walk of a tree gives every edge's
-side.  The exact solvers are a full enumerator over split hierarchies
-and a subset-split dynamic program, searched top down with branch and
-bound over one byte table of lower bounds on the cut values.  Twin-class
-values fill it at once; pattern-family values are evaluated lazily, each
-only as far as the incumbent width needs.  One split loop serves both
-and visits only the splits whose two bounds are below the incumbent.
+side.  The exact solvers are an enumerator over split hierarchies, which
+skips only shapes that cannot beat its best so far, and a subset-split
+dynamic program, searched top down with branch and bound over one byte
+table of lower bounds on the cut values.  Twin-class values fill it at
+once; pattern-family values are evaluated lazily, each only as far as the
+incumbent width needs.  One split loop serves both and visits only the
+splits whose two bounds are below the incumbent.
 For primal unions the dynamic program runs per component, and the
 component law gives the width.  The two solvers agree by construction on
 any symmetric cut function and cross-check each other in the test suite.
@@ -187,31 +188,11 @@ def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
 # enumeration of decomposition shapes
 
 
-def _hierarchies(n: int) -> Iterator[tuple[int, ...]]:
-    """Every unrooted leaf-labeled binary tree on the vertices 0..n-1, once
-    each: hung off vertex 0, a tree is a rooted binary hierarchy on 1..n-1,
-    given here by its cluster masks, which are exactly the tree's edge cuts
-    (the side away from vertex 0).  Vertex k is inserted above each node of
-    every hierarchy on 1..k-1; (2n-5)!! hierarchies for n >= 3."""
-
-    def grow(clusters: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-        if k >= n:
-            yield clusters
-            return
-        bit = 1 << k
-        for x in clusters:
-            # x and its ancestors are the clusters containing x: k joins
-            # them, and x stays below as the sibling of k
-            lifted = tuple(c | bit if c & x == x else c for c in clusters)
-            yield from grow(lifted + (x, bit), k + 1)
-
-    return grow((2,) if n >= 2 else (), 2)
-
-
 def _hierarchy_tree(n: int, clusters: tuple[int, ...]) -> BranchDecomposition:
-    """The decomposition of a hierarchy from ``_hierarchies``: the root edge
-    splits off vertex 0, and a cluster's larger proper subcluster is one of
-    its two children (the side holding its lowest vertex comes first)."""
+    """The decomposition of a hierarchy on 1..n-1 given by its cluster
+    masks: the root edge splits off vertex 0, and a cluster's larger proper
+    subcluster is one of its two children (the side holding its lowest
+    vertex comes first)."""
     split = {(1 << n) - 1: 1}
     for s in clusters:
         if s & (s - 1):
@@ -224,7 +205,15 @@ def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
                            evaluator: CutEvaluator | None = None
                            ) -> tuple[int, BranchDecomposition]:
     """Global minimum width over all decomposition shapes; returns the first
-    achiever in enumeration order."""
+    achiever in enumeration order.
+
+    Every unrooted leaf-labeled binary tree on the vertices 0..n-1 comes once:
+    hung off vertex 0, a tree is a rooted binary hierarchy on 1..n-1, given
+    by its cluster masks, which are exactly the tree's edge cuts (the side
+    away from vertex 0).  Vertex k is inserted above each node of every
+    hierarchy on 1..k-1; (2n-5)!! hierarchies for n >= 3.  The walk skips a
+    partial hierarchy once some cluster's least possible final value reaches
+    the best width so far, so it returns what the full scan would."""
     n = g.n
     if n > ENUM_MAX_N:
         raise SizeLimitError(f"enumeration solver limited to n <= {ENUM_MAX_N}, got {n}")
@@ -237,16 +226,38 @@ def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
     # every shape cuts off each single vertex, so no width is below this;
     # the first shape that reaches it is the first minimum
     floor = max((vals[1 << v] for v in range(n)), default=0)
-    best = None
+    # low[k][c]: the least value of c joined with any of the vertices k..n-1,
+    # a lower bound on what a cluster c becomes once they are all inserted
+    low = {n: vals}
+    for k in range(n - 1, 1, -1):
+        above, bit = low[k + 1], 1 << k
+        low[k] = [min(above[c], above[c | bit]) for c in range(1 << n)]
+    best = max(vals) + 1  # above every width
     best_clusters: tuple[int, ...] = ()
-    for clusters in _hierarchies(n):
-        width = max(map(vals.__getitem__, clusters), default=0)
-        if best is None or width < best:
-            best = width
-            best_clusters = clusters
-            if best <= floor:
-                break
-    assert best is not None
+
+    def grow(clusters: tuple[int, ...], k: int) -> bool:
+        """Walk the hierarchies below ``clusters`` in enumeration order,
+        skipping those no better than the best so far; True once a shape
+        reaches the floor."""
+        nonlocal best, best_clusters
+        if k >= n:
+            width = max(map(vals.__getitem__, clusters), default=0)
+            if width < best:
+                best = width
+                best_clusters = clusters
+            return best <= floor
+        if max(map(low[k].__getitem__, clusters)) >= best:
+            return False
+        bit = 1 << k
+        for x in clusters:
+            # x and its ancestors are the clusters containing x: k joins
+            # them, and x stays below as the sibling of k
+            lifted = tuple(c | bit if c & x == x else c for c in clusters)
+            if grow(lifted + (x, bit), k + 1):
+                return True
+        return False
+
+    grow((2,) if n >= 2 else (), 2)
     return best, _hierarchy_tree(n, best_clusters)
 
 

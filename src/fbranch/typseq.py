@@ -176,7 +176,9 @@ def format_sequence(s: Sequence[Entry]) -> str:
 
 
 def parse_sequence(text: str) -> Seq:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    if "" in parts:
+        raise ParseError(f"bad sequence {text!r}: empty entry")
     try:
         return to_sequence(BOTTOM if p == "_|_" else int(p) for p in parts)
     except ValueError as exc:

@@ -88,14 +88,18 @@ def _attachment_colors(rng, n):
     return [tuple(sorted(rng.sample(range(3), rng.randint(0, 2)))) for _ in range(n)]
 
 
-def test_canonical_form_keys_equal_the_reference_search():
+def test_canonical_form_splits_inputs_like_the_reference_search():
+    # the keys carry the refinement rounds, so their format differs from the
+    # reference's: two inputs must share a key exactly when they share a
+    # reference key
     rng = random.Random(17)
     graphs = [g for n in range(7) for g in all_graph_classes(n)]
     graphs += [_blow_up(rng, 8) for _ in range(300)]
-    for g in graphs:
-        for colors in (None, _attachment_colors(rng, g.n)):
-            assert repr(canonical_form(g, colors)) == repr(
-                _reference_canonical_form(g, colors)), (g.n, g.edges(), colors)
+    inputs = [(g, colors) for g in graphs for colors in (None, _attachment_colors(rng, g.n))]
+    keys = [canonical_form(g, colors) for g, colors in inputs]
+    ref = [_reference_canonical_form(g, colors) for g, colors in inputs]
+    assert len(set(keys)) == len(set(ref)) == len(set(zip(keys, ref)))
+    assert len(set(ref)) > 300  # the check is not vacuous
 
 
 def test_canonical_form_agrees_with_networkx_isomorphism():
@@ -153,6 +157,28 @@ def test_canonical_form_is_fast_on_twin_classes():
         canonical_form(Graph(12, list(itertools.combinations(range(12), 2))))
         assert len(tree_classes(10)) == 106
     """)
+    _run_within_a_minute(code)
+
+
+def test_canonical_form_is_fast_on_trees():
+    # trees hold few twins but refine to small cells: without refinement
+    # the path P16 alone takes about half a minute
+    code = textwrap.dedent("""
+        import random
+        from fbranch.atlas import tree_classes
+        from fbranch.canonical import canonical_form
+        from fbranch.graph import Graph
+        for n in (16, 40):
+            canonical_form(Graph(n, [(v, v + 1) for v in range(n - 1)]))
+        rng = random.Random(40)
+        canonical_form(Graph(40, [(rng.randrange(v), v) for v in range(1, 40)]))
+        assert len(tree_classes(12, 3)) == 135
+        assert len(tree_classes(11)) == 235
+    """)
+    _run_within_a_minute(code)
+
+
+def _run_within_a_minute(code):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)

@@ -196,6 +196,15 @@ def test_typical_bad_sequence_entry_exit_code(capsys):
     assert_one_error_line(code, err)
 
 
+@pytest.mark.parametrize("argv", [("--seq", "1,,2"), ("--seq", "1,2,"), ("--seq", ",1"),
+                                  ("--seq", "1, ,2"), ("--seq", "0", "--interleave", "1,,2")])
+def test_typical_empty_entry_exit_code(capsys, argv):
+    # an empty entry is malformed, not skipped
+    code, out, err = run(capsys, "typical", *argv)
+    assert_one_error_line(code, err)
+    assert "empty entry" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [("--seq", "1,2", "--interleave", ""), ("--seq", "")])
 def test_typical_empty_sequence_exit_code(capsys, argv):
     # an empty value is given, not missing: it must not be dropped or

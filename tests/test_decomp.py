@@ -38,7 +38,7 @@ from fbranch.graph import (
     mask_of,
     set_of,
 )
-from fbranch.verify import PRIMAL_UNIONS
+from fbranch.verify import PRIMAL_UNIONS, _random_connected, _random_disconnected
 
 MATCH = FamilySelector.of(Family.MATCH)
 CHAIN = FamilySelector.of(Family.CHAIN)
@@ -82,8 +82,44 @@ def enumerate_decompositions(n):
     if n > decomp.ENUM_MAX_N:
         raise SizeLimitError(
             f"decomposition enumeration limited to n <= {decomp.ENUM_MAX_N}, got {n}")
-    for clusters in decomp._hierarchies(n):
+    for clusters in _hierarchies(n):
         yield decomp._hierarchy_tree(n, clusters)
+
+
+def _hierarchies(n):
+    """Every unrooted leaf-labeled binary tree on the vertices 0..n-1, once
+    each, as the cluster masks of its hierarchy hung off vertex 0, in the
+    order ``exact_branchwidth_enum`` walks them, with nothing skipped."""
+
+    def grow(clusters, k):
+        if k >= n:
+            yield clusters
+            return
+        bit = 1 << k
+        for x in clusters:
+            lifted = tuple(c | bit if c & x == x else c for c in clusters)
+            yield from grow(lifted + (x, bit), k + 1)
+
+    return grow((2,) if n >= 2 else (), 2)
+
+
+def _unbounded_enum(g, sel, evaluator=None):
+    """Reference for ``exact_branchwidth_enum``: the first minimum over
+    the full walk, stopping only at the single-vertex floor."""
+    n = g.n
+    ev = evaluator if evaluator is not None else CutEvaluator(g)
+    vals = [ev.value_of_mask(m, sel)[0] for m in range(1 << n)]
+    floor = max((vals[1 << v] for v in range(n)), default=0)
+    best = None
+    best_clusters = ()
+    for clusters in _hierarchies(n):
+        width = max(map(vals.__getitem__, clusters), default=0)
+        if best is None or width < best:
+            best = width
+            best_clusters = clusters
+            if best <= floor:
+                break
+    return best, decomp._hierarchy_tree(n, best_clusters)
 
 
 def test_validate_examples():
@@ -204,6 +240,22 @@ def test_exact_branchwidth_enum_examples():
     validate_decomposition(bd, path(4))
     assert exact_branchwidth_enum(cycle(6), MATCH)[0] == 2
     assert exact_branchwidth_enum(complete_bipartite(3, 3), MATCH)[0] == 1
+
+
+def test_pruned_enumeration_equals_the_full_walk():
+    # the pruned walk must return the full walk's first minimum, tree and all
+    selectors = [MATCH, CHAIN, ANTIMATCH, PRIMAL, ALL_FAMILIES, FamilySelector.parse("ntc")]
+    rng = random.Random(41)
+    graphs = [g for n in range(1, 7) for g in connected_graph_classes(n)]
+    for n in range(7, 10):
+        graphs += [_random_connected(rng, n), _random_disconnected(rng, n)]
+    for g in graphs:
+        ev = CutEvaluator(g)
+        for sel in selectors:
+            w, bd = exact_branchwidth_enum(g, sel, evaluator=ev)
+            w_ref, bd_ref = _unbounded_enum(g, sel, evaluator=ev)
+            assert (w, decomposition_to_text(bd)) == (w_ref, decomposition_to_text(bd_ref)), (
+                g, sel.name())
 
 
 def test_forests_have_width_one():
