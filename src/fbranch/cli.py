@@ -134,6 +134,8 @@ def cmd_classify(args) -> int:
 
 def cmd_typical(args) -> int:
     if args.enumerate is not None:
+        if args.seq is not None or args.interleave is not None:
+            raise FBranchError("typical --enumerate takes no --seq or --interleave")
         for s in enumerate_typical(args.enumerate):
             sys.stdout.write(format_sequence(s) + "\n")
         return 0

@@ -77,13 +77,11 @@ class FamilySelector:
         for token in text.split(","):
             token = token.strip()
             if not token:
-                continue
+                raise ParseError(f"bad family list {text!r}: empty entry")
             try:
                 fams.add(Family(token))
             except ValueError:
                 raise ParseError(f"unknown family {token!r}")
-        if not fams:
-            raise ParseError(f"no family named in {text!r}")
         return FamilySelector(families=frozenset(fams))
 
     def is_primal_union(self) -> bool:

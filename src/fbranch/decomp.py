@@ -602,6 +602,8 @@ def parse_decomposition(text: str) -> BranchDecomposition:
             raise MalformedLineError(f"bad decomposition line {ln!r}") from None
         if parts[0] == "t":
             edges.append((a, b))
+        elif a in leaf_map:
+            raise MalformedLineError(f"leaf node {a} given twice")
         else:
             leaf_map[a] = b
     # checked before the tree is built: its adjacency has one set per node

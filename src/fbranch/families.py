@@ -13,7 +13,13 @@ Each family is closed under restricting to any subset of pairs (with the
 inherited order), and contains exactly one member per size.  For q = 1 the
 patterns coincide in two groups: a single edge (MATCH = CHAIN = COMPLETE)
 and an edgeless pair (EMPTY = CHAINSTRICT = ANTIMATCH); the classifier
-reports every matching tag.
+reports every matching tag.  For q >= 2 at most one family matches.
+
+EMPTY, MATCH, ANTIMATCH and COMPLETE look the same under every pair order.
+A chain or strict chain has distinct a-side degrees (q - k, or q - 1 - k,
+at position k), and those degrees fix its order.  So a graph matches a
+family under some pair order exactly when it matches with its pairs placed
+by decreasing a-side degree.
 """
 
 from __future__ import annotations
@@ -145,49 +151,23 @@ def matches_pattern_exactly(h: OrderedBipartiteGraph, family: Family) -> bool:
 
 
 def classify_si(h: OrderedBipartiteGraph) -> tuple[Family, ...]:
-    """All families whose size-q pattern equals h under some reordering of
-    the pairs (the partner pairing itself is kept fixed).
-
-    For q >= 2 at most one family matches; for q = 1 the two degenerate
-    groups each yield three tags.  Returns () when nothing matches.
+    """All families, in ``FAMILY_ORDER``, whose size-q pattern equals h
+    under some reordering of the pairs (the partner pairing itself is kept
+    fixed): one exact comparison per family after placing the pairs by
+    decreasing a-side degree, which is that reordering when there is one
+    (see the module docstring).  The pairs are placed only when the edge
+    count is a chain's, so a large q with few edges allocates nothing per
+    pair.  Returns () when nothing matches.
     """
     q = h.q
     if q < 1:
         raise ValueError("classification needs at least one pair")
-    tags = []
-    # EMPTY, MATCH, ANTIMATCH and COMPLETE are invariant under reordering
-    # the pairs, so the exact formula comparison settles them
-    for family in (Family.EMPTY, Family.MATCH, Family.ANTIMATCH, Family.COMPLETE):
-        if matches_pattern_exactly(h, family):
-            tags.append(family)
-    if _matches_chain(h, strict=False):
-        tags.append(Family.CHAIN)
-    if _matches_chain(h, strict=True):
-        tags.append(Family.CHAINSTRICT)
-    return tuple(sorted(set(tags), key=FAMILY_ORDER.index))
-
-
-def _matches_chain(h: OrderedBipartiteGraph, strict: bool) -> bool:
-    q = h.q
-    family = Family.CHAINSTRICT if strict else Family.CHAIN
-    if len(h.edges) != _pattern_size(family, q):
-        return False
-    # degrees force the order: a-side degree of the pair at chain position k
-    # is q - k (non-strict) or q - 1 - k (strict), all distinct
-    deg_a = [0] * q
-    for i, _ in h.edges:
-        deg_a[i] += 1
-    base = q if not strict else q - 1
-    pos = [0] * q
-    seen = set()
-    for p in range(q):
-        k = base - deg_a[p]
-        if k < 0 or k >= q or k in seen:
-            return False
-        seen.add(k)
-        pos[p] = k
-    # with the edge count already equal, no pattern edge can be missing
-    return all(pattern_has_edge(family, pos[i], pos[j]) for i, j in h.edges)
+    if len(h.edges) in (q * (q + 1) // 2, q * (q - 1) // 2):
+        deg_a = [0] * q
+        for i, _ in h.edges:
+            deg_a[i] += 1
+        h = h.induced(sorted(range(q), key=deg_a.__getitem__, reverse=True))
+    return tuple(f for f in FAMILY_ORDER if matches_pattern_exactly(h, f))
 
 
 def pair_color(h: OrderedBipartiteGraph, i: int, j: int) -> int:
@@ -239,17 +219,11 @@ def find_homogeneous_subset(h: OrderedBipartiteGraph, n: int) -> HomogeneousSubs
             if not (colors <= {1} or colors <= {4} or colors <= {2, 3}):
                 continue
         induced = h.induced(subset)
-        exact = [f for f in FAMILY_ORDER if matches_pattern_exactly(induced, f)]
-        if exact:
-            return HomogeneousSubset(subset, exact[0], False)
-        rev = induced.reversed_pairs()
-        exact = [f for f in FAMILY_ORDER if matches_pattern_exactly(rev, f)]
-        if exact:
-            return HomogeneousSubset(subset, exact[0], True)
-        # scrambled pair orders can still classify (chain under some other
-        # permutation); the subset is homogeneous all the same
         tags = classify_si(induced)
         if tags:
-            return HomogeneousSubset(subset, tags[0], False)
+            family = tags[0]
+            reversed_order = (not matches_pattern_exactly(induced, family)
+                              and matches_pattern_exactly(induced.reversed_pairs(), family))
+            return HomogeneousSubset(subset, family, reversed_order)
     return None
 

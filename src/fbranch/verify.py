@@ -446,10 +446,7 @@ def suite_classification(seed: int = 0, count: int = 1000,
         found = find_homogeneous_subset(h, n)
         res.tested += 1
         if found is not None and found.pairs:
-            induced = h.induced(found.pairs)
-            if found.reversed_order:
-                induced = induced.reversed_pairs()
-            if found.family not in classify_si(induced):
+            if found.family not in classify_si(h.induced(found.pairs)):
                 res.violations.append({
                     "q": q, "edges": sorted(edges), "n": n,
                     "error": "homogeneous subset fails reclassification"})

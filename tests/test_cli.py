@@ -191,6 +191,30 @@ def assert_one_error_line(code, err):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+K2 = "2 1\n0 1\n"
+K2_LEAF_TWICE = "tree 2\nt 0 1\nleaf 0 1\nleaf 0 0\nleaf 1 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # an empty entry in a family list is malformed, not skipped
+    ("solve", "--graph", "{k2}", "--families", "match,,chain"),
+    ("solve", "--graph", "{k2}", "--families", ",match"),
+    ("solve", "--graph", "{k2}", "--families", "match, ,chain"),
+    # a later leaf line must not overwrite an earlier one for the same node
+    ("width", "--graph", "{k2}", "--decomp", "{leaf_twice}"),
+    # --enumerate lists sequences; it cannot also take one
+    ("typical", "--enumerate", "2", "--seq", "1"),
+    ("typical", "--enumerate", "2", "--interleave", "1"),
+])
+def test_bad_input_exit_code(tmp_path, capsys, argv):
+    (tmp_path / "k2.txt").write_text(K2)
+    (tmp_path / "leaf_twice.tree").write_text(K2_LEAF_TWICE)
+    paths = {"k2": tmp_path / "k2.txt", "leaf_twice": tmp_path / "leaf_twice.tree"}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
 def test_typical_bad_sequence_entry_exit_code(capsys):
     code, _, err = run(capsys, "typical", "--seq", "1,a")
     assert_one_error_line(code, err)

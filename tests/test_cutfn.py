@@ -444,6 +444,7 @@ def test_optimized_evaluators_match_oracle_small():
 
 def test_selector_parsing():
     assert FamilySelector.parse("match,chain").families == {Family.MATCH, Family.CHAIN}
+    assert FamilySelector.parse(" match , chain ") == FamilySelector.parse("match,chain")
     assert FamilySelector.parse("primal") == PRIMAL
     assert FamilySelector.parse("all") == ALL_FAMILIES
     assert FamilySelector.parse("ntc").ntc

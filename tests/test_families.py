@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,57 @@ def test_classify_tolerates_pair_reordering():
 def test_classify_rejects_nonpatterns():
     assert classify_si(obg(2, [(0, 0)])) == ()
     assert classify_si(obg(3, [(0, 1), (1, 0), (2, 2)])) == ()
+
+
+def classify_by_all_orders(h):
+    """The families whose pattern equals h under some pair order, by
+    trying every order."""
+    patterns = [(f, pattern_edges(f, h.q)) for f in FAMILY_ORDER]
+    found = set()
+    for perm in itertools.permutations(range(h.q)):
+        edges = h.induced(perm).edges
+        found.update(f for f, pattern in patterns if edges == pattern)
+    return tuple(f for f in FAMILY_ORDER if f in found)
+
+
+def test_classify_equals_brute_force_over_pair_orders_small():
+    for q in range(1, 4):
+        cells = [(i, j) for i in range(q) for j in range(q)]
+        for bits in range(1 << len(cells)):
+            h = obg(q, [c for k, c in enumerate(cells) if bits >> k & 1])
+            assert classify_si(h) == classify_by_all_orders(h), sorted(h.edges)
+
+
+def test_classify_equals_brute_force_over_pair_orders_seeded():
+    # relabelled patterns, the same with one cell flipped, and random graphs
+    rng = random.Random(23)
+    for _ in range(90):
+        q = rng.randint(4, 6)
+        perm = rng.sample(range(q), q)
+        edges = set(pattern_graph(rng.choice(FAMILY_ORDER), q).induced(perm).edges)
+        kind = rng.randrange(3)
+        if kind == 1:
+            edges ^= {(rng.randrange(q), rng.randrange(q))}
+        elif kind == 2:
+            edges = {(i, j) for i in range(q) for j in range(q) if rng.random() < 0.5}
+        h = obg(q, edges)
+        assert classify_si(h) == classify_by_all_orders(h), (q, sorted(edges))
+
+
+def test_classify_is_fast_on_huge_pair_counts():
+    # nothing may be allocated per pair before the edge count is checked;
+    # run under an address-space limit so a regression fails, not swaps
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from fbranch.families import Family, OrderedBipartiteGraph, classify_si\n"
+            "assert classify_si(OrderedBipartiteGraph(10**9, frozenset())) == (Family.EMPTY,)\n"
+            "q = 10**5\n"
+            "diagonal = frozenset((i, i) for i in range(q))\n"
+            "assert classify_si(OrderedBipartiteGraph(q, diagonal)) == (Family.MATCH,)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+    assert done.returncode == 0, done.stderr
 
 
 def test_patterns_pairwise_distinct_for_q_ge_2():
@@ -158,7 +213,14 @@ def test_find_homogeneous_against_exhaustive_search():
                          for sub in itertools.combinations(range(q), n))
             assert (res is not None) == exists
             if res is not None:
-                assert res.family in classify_si(h.induced(res.pairs))
+                induced = h.induced(res.pairs)
+                assert res.family in classify_si(induced)
+                # reversed: the pattern is not exact in the given order but
+                # is exact in the reversed one
+                pattern = pattern_edges(res.family, n)
+                reverse = h.induced(res.pairs[::-1])
+                assert res.reversed_order == (induced.edges != pattern
+                                              and reverse.edges == pattern)
 
 
 def test_parse_ordered_bipartite():
