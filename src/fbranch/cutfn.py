@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SizeLimitError
+from .errors import SizeLimitError, comma_list
 from .families import FAMILY_ORDER, PRIMAL_FAMILIES, Family, pattern_has_edge
 from .graph import BipartiteCutGraph, Graph, _adjacency_masks, _iter_bits
 
@@ -73,16 +73,8 @@ class FamilySelector:
             return FamilySelector(families=frozenset(FAMILY_ORDER))
         if text == "primal":
             return FamilySelector(families=PRIMAL_FAMILIES)
-        fams = set()
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                raise ParseError(f"bad family list {text!r}: empty entry")
-            try:
-                fams.add(Family(token))
-            except ValueError:
-                raise ParseError(f"unknown family {token!r}")
-        return FamilySelector(families=frozenset(fams))
+        return comma_list(text, "family list",
+                          lambda names: FamilySelector(families=frozenset(map(Family, names))))
 
     def is_primal_union(self) -> bool:
         return not self.ntc and self.families <= PRIMAL_FAMILIES

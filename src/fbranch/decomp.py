@@ -29,7 +29,8 @@ from itertools import compress, filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness, ntc_table
-from .errors import DecompositionError, MalformedLineError, SizeLimitError, ValidationError
+from .errors import (DecompositionError, MalformedLineError, SizeLimitError, ValidationError,
+                     read_document, tagged_int_pairs)
 from .families import Family
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
@@ -580,34 +581,15 @@ def decomposition_to_text(bd: BranchDecomposition) -> str:
 
 
 def parse_decomposition(text: str) -> BranchDecomposition:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("tree"):
-        raise MalformedLineError("decomposition must start with 'tree <#nodes>'")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedLineError(f"bad header {lines[0]!r}")
-    try:
-        num_nodes = int(head[1])
-    except ValueError:
-        raise MalformedLineError(f"bad node count in {lines[0]!r}")
-    edges = []
-    leaf_map = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] not in ("t", "leaf"):
-            raise MalformedLineError(f"bad decomposition line {ln!r}")
-        try:
-            a, b = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise MalformedLineError(f"bad decomposition line {ln!r}") from None
-        if parts[0] == "t":
-            edges.append((a, b))
-        elif a in leaf_map:
-            raise MalformedLineError(f"leaf node {a} given twice")
-        else:
-            leaf_map[a] = b
+    (num_nodes,), body = read_document(text, "tree <#nodes>")
+    edges, leaves = tagged_int_pairs(body, "t|leaf <a> <b>")
+    leaf_map = dict(leaves)
+    if len(leaf_map) < len(leaves):
+        seen: set[int] = set()
+        node = next(a for a, _ in leaves if a in seen or seen.add(a))
+        raise MalformedLineError(f"leaf node {node} given twice")
     # checked before the tree is built: its adjacency has one set per node
-    if num_nodes != len(edges) + 1 and not (num_nodes == 0 and len(lines) == 1):
+    if num_nodes != len(edges) + 1 and not (num_nodes == 0 and not body):
         raise MalformedLineError(
             f"'tree {num_nodes}' needs {num_nodes - 1} 't' lines, got {len(edges)}")
     for u, v in edges:

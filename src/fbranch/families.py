@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Sequence
 
-from .errors import MalformedLineError
+from .errors import MalformedLineError, int_pairs, read_document
 
 
 class Family(Enum):
@@ -118,28 +118,14 @@ def pattern_graph(family: Family, q: int) -> OrderedBipartiteGraph:
 def parse_ordered_bipartite(text: str) -> OrderedBipartiteGraph:
     """Parse the text format: first line ``q``, then edge lines ``i j``
     with 1-based pair indices."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise MalformedLineError("empty document")
-    try:
-        q = int(lines[0])
-    except ValueError:
-        raise MalformedLineError(f"first line must be the pair count, got {lines[0]!r}")
+    (q,), body = read_document(text, "<q>")
     if q < 1:
         raise MalformedLineError(f"pair count must be at least 1, got {q}")
-    edges = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MalformedLineError(f"edge line must be 'i j', got {ln!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLineError(f"edge line must be two integers, got {ln!r}")
+    pairs = int_pairs(body, "<i> <j>")
+    for ln, (i, j) in zip(body, pairs):
         if not (1 <= i <= q and 1 <= j <= q):
             raise MalformedLineError(f"pair index out of range in {ln!r}")
-        edges.add((i - 1, j - 1))
-    return OrderedBipartiteGraph(q, frozenset(edges))
+    return OrderedBipartiteGraph(q, frozenset((i - 1, j - 1) for i, j in pairs))
 
 
 def matches_pattern_exactly(h: OrderedBipartiteGraph, family: Family) -> bool:

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    LoopEdgeError,
-    MalformedLineError,
-    SizeLimitError,
-    VertexRangeError,
-)
+from .errors import (LoopEdgeError, MalformedLineError, SizeLimitError, VertexRangeError,
+                     int_pairs, read_document)
 
 GRAPH_MAX_N = 100_000  # parse_graph's vertex limit; the largest inputs in use have 2,000
 
@@ -71,34 +67,15 @@ def parse_graph(text: str) -> Graph:
 
     Multi-edges are silently deduplicated; loops are rejected.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise MalformedLineError("empty document")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedLineError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise MalformedLineError(f"header must be two integers, got {lines[0]!r}")
+    (n, m), body = read_document(text, "<n> <m>")
     if n < 0 or m < 0:
         raise MalformedLineError("header counts must be nonnegative")
     # checked before the graph is built: it holds one set per vertex
     if n > GRAPH_MAX_N:
         raise MalformedLineError(f"vertex count {n} exceeds the limit {GRAPH_MAX_N}")
-    if len(lines) - 1 != m:
-        raise MalformedLineError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MalformedLineError(f"edge line must be 'u v', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLineError(f"edge line must be two integers, got {ln!r}")
-        edges.append((u, v))
-    return Graph(n, edges)
+    if len(body) != m:
+        raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
+    return Graph(n, int_pairs(body, "<u> <v>"))
 
 
 def graph_to_text(g: Graph) -> str:

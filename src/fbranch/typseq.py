@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError, comma_list
 
 BOTTOM = math.inf
 INTERLEAVE_MAX_LENGTH = 16  # len(s) + len(t); the walks grow like Delannoy numbers
@@ -176,10 +176,4 @@ def format_sequence(s: Sequence[Entry]) -> str:
 
 
 def parse_sequence(text: str) -> Seq:
-    parts = [p.strip() for p in text.split(",")] if text.strip() else []
-    if "" in parts:
-        raise ParseError(f"bad sequence {text!r}: empty entry")
-    try:
-        return to_sequence(BOTTOM if p == "_|_" else int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad sequence {text!r}: {exc}") from None
+    return comma_list(text, "sequence", to_sequence, {"_|_": BOTTOM})

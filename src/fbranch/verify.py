@@ -9,6 +9,7 @@ budgets they cover every acceptance criterion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -67,29 +68,19 @@ class SuiteResult:
                 f"{len(self.violations)} violations")
 
 
-class WidthCache:
-    """Exact widths keyed by (labeled graph, selector).  The instance
+@functools.cache
+def _evaluator(g: Graph) -> CutEvaluator:
+    return CutEvaluator(g)
+
+
+@functools.cache
+def width(g: Graph, sel: FamilySelector) -> int:
+    """Exact width, cached by labeled graph and selector: the instance
     generators reproduce identical labelings across seeds, so a labeled key
     dedupes nearly as well as an isomorphism key at a fraction of the cost;
     one evaluator per graph shares the per-family cut values between
     selectors."""
-
-    def __init__(self):
-        self._widths: dict[tuple, int] = {}
-        self._evaluators: dict[tuple, tuple[Graph, CutEvaluator]] = {}
-
-    def width(self, g: Graph, sel: FamilySelector) -> int:
-        gkey = g.key()
-        key = (gkey, sel.families, sel.ntc)
-        hit = self._widths.get(key)
-        if hit is None:
-            rep = self._evaluators.get(gkey)
-            if rep is None:
-                rep = (g, CutEvaluator(g))
-                self._evaluators[gkey] = rep
-            hit = exact_branchwidth_dp(rep[0], sel, evaluator=rep[1])[0]
-            self._widths[key] = hit
-        return hit
+    return exact_branchwidth_dp(g, sel, evaluator=_evaluator(g))[0]
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -188,7 +179,6 @@ def suite_tw_bound(max_n: int = 7) -> SuiteResult:
 def suite_component(seed: int = 0, count: int = 100, max_n: int = 8) -> SuiteResult:
     res = SuiteResult("component", 0)
     rng = random.Random(seed)
-    cache = WidthCache()
     for _ in range(count):
         n = rng.randint(2, max_n)
         g = _random_disconnected(rng, n)
@@ -198,7 +188,7 @@ def suite_component(seed: int = 0, count: int = 100, max_n: int = 8) -> SuiteRes
             # the enumerative solver never routes through components, so it
             # measures the whole graph independently of the law under test
             whole = exact_branchwidth_enum(g, sel, evaluator=ev)[0]
-            parts = [cache.width(induced_subgraph(g, c)[0], sel) for c in comps]
+            parts = [width(induced_subgraph(g, c)[0], sel) for c in comps]
             expected = component_law_expected(g, parts, sel)
             res.tested += 1
             if whole != expected:
@@ -268,7 +258,6 @@ def suite_fes_safety(seed: int = 0, count: int = 100) -> SuiteResult:
     kernel respects the 18k - 8 vertex bound."""
     res = SuiteResult("fes-safety", 0)
     rng = random.Random(seed)
-    cache = WidthCache()
     for _ in range(count):
         g = _random_cycle_with_pendants(rng)
         trace = kernelize_fes(g)
@@ -287,8 +276,8 @@ def suite_fes_safety(seed: int = 0, count: int = 100) -> SuiteResult:
             nxt = apply_step(cur, step)
             if isinstance(step, ContractionStep):
                 for sel in PRIMAL_UNIONS:
-                    before = cache.width(cur, sel)
-                    after = cache.width(nxt, sel)
+                    before = width(cur, sel)
+                    after = width(nxt, sel)
                     res.tested += 1
                     if before != after:
                         res.violations.append({
@@ -402,13 +391,12 @@ def suite_prune_safety(seed: int = 0, count: int = 50) -> SuiteResult:
     if any(bound_f_star(k, p, k) != p for k in range(1, 5) for p in range(1, 5)):
         res.violations.append({"error": "f*(k,p,k) != p"})
     rng = random.Random(seed)
-    cache = WidthCache()
     for _ in range(count):
         g = _random_spider_or_broom(rng)
         pruned, _ = prune_by_treedepth(g)
         for sel in PRIMAL_UNIONS:
-            before = cache.width(g, sel)
-            after = cache.width(pruned, sel) if pruned.n else 0
+            before = width(g, sel)
+            after = width(pruned, sel) if pruned.n else 0
             res.tested += 1
             if before != after:
                 res.violations.append({

@@ -215,6 +215,36 @@ def test_bad_input_exit_code(tmp_path, capsys, argv):
     assert out == ""
 
 
+# one good document per input kind, as lines, and the command that reads it
+DOCUMENTS = {
+    "graph": (("2 1", "0 1"), ("solve", "--graph", "{doc}")),
+    "decomp": (("tree 2", "t 0 1", "leaf 0 0", "leaf 1 1"),
+               ("width", "--graph", "{k2}", "--decomp", "{doc}")),
+    "pattern": (("2", "1 1", "1 2", "2 2"), ("classify", "--in", "{doc}")),
+}
+
+
+@pytest.mark.parametrize("kind, index, bad", [
+    # a wrong word, a wrong token count and a non-integer token, each in the
+    # header (line 0) and in a body line
+    ("graph", 0, "graph 2 1"), ("graph", 0, "2 1 1"), ("graph", 0, "2 one"),
+    ("graph", 1, "e 0 1"), ("graph", 1, "0 1 1"), ("graph", 1, "0 x"),
+    ("decomp", 0, "trees 2"), ("decomp", 0, "tree 2 2"), ("decomp", 0, "tree two"),
+    ("decomp", 1, "edge 0 1"), ("decomp", 1, "t 0 1 1"), ("decomp", 3, "leaf 1 x"),
+    ("pattern", 0, "q 2"), ("pattern", 0, "2 2"), ("pattern", 0, "two"),
+    ("pattern", 1, "e 1 1"), ("pattern", 1, "1 1 1"), ("pattern", 2, "1 x"),
+])
+def test_bad_line_exit_code_quotes_the_line(tmp_path, capsys, kind, index, bad):
+    lines, argv = DOCUMENTS[kind]
+    doc = tmp_path / "doc.txt"
+    doc.write_text("\n".join(lines[:index] + (bad,) + lines[index + 1:]) + "\n")
+    (tmp_path / "k2.txt").write_text(K2)
+    paths = {"doc": doc, "k2": tmp_path / "k2.txt"}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert_one_error_line(code, err)
+    assert repr(bad) in err and out == ""
+
+
 def test_typical_bad_sequence_entry_exit_code(capsys):
     code, _, err = run(capsys, "typical", "--seq", "1,a")
     assert_one_error_line(code, err)

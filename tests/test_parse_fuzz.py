@@ -45,6 +45,7 @@ PARSERS = (parse_graph, parse_decomposition, parse_ordered_bipartite,
 @example("-1")
 @example("0")
 @example("tree 5\nt 0 1\n")
+@example("trees 3\n")
 @example("3 1\n0 0\n")
 @example("1,_|_,x")
 def test_parsers_raise_only_parse_errors(text):

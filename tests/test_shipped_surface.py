@@ -1,6 +1,7 @@
 """Every module-level function and class of ``src/fbranch``, public or
 private, is used by the package itself: a reference or helper that only the
-tests call lives in the tests."""
+tests call lives in the tests.  The text-input grammar lives in one place,
+the reader in ``errors.py``."""
 
 import ast
 from collections import defaultdict
@@ -32,3 +33,16 @@ def unreferenced_definitions(src: Path = SRC) -> list[str]:
 
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced_definitions() == []
+
+
+def text_splitters(src: Path = SRC) -> list[str]:
+    """``module:line`` of each use of ``split``, ``rsplit`` or
+    ``splitlines`` outside ``errors.py``."""
+    return [f"{path.stem}:{node.lineno}" for path in sorted(src.glob("*.py"))
+            if path.name != "errors.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("split", "rsplit", "splitlines")]
+
+
+def test_only_the_reader_splits_text():
+    assert text_splitters() == []
