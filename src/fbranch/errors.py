@@ -89,17 +89,13 @@ def tagged_int_pairs(rows: list[str], layout: str) -> list[list[tuple[int, int]]
     raise InternalInvariantError(f"rows failed to read as {layout!r}, yet each line reads alone")
 
 
-def comma_list(text: str, what: str, build: Callable[[list], object],
-               values: dict | None = None):
+def comma_list(text: str, what: str, build: Callable[[list[str]], object]):
     """``build`` applied to the stripped entries of a comma list, none of
-    them empty.  With ``values``, an entry found there stands for its
-    value and any other must be an integer."""
+    them empty; a ``ValueError`` from ``build`` becomes a ``ParseError``."""
     entries = [p.strip() for p in text.split(",")] if text.strip() else []
     if "" in entries:
         raise ParseError(f"bad {what} {text!r}: empty entry")
     try:
-        if values is not None:
-            entries = [values[p] if p in values else int(p) for p in entries]
         return build(entries)
     except ValueError as exc:
         raise ParseError(f"bad {what} {text!r}: {exc}") from None

@@ -1,6 +1,6 @@
 """Linear kernel driven by the feedback edge set number.
 
-The pipeline: compute k once (the cycle rank m - n + c), clean the graph
+The pipeline: compute k once (spanning-forest complement), clean the graph
 by deleting all bridges and then all isolated vertices, and while more than
 18k - 8 vertices remain, contract an interior edge of a degree-two path of
 length at least eight.  Forests short-circuit: their width is 1 when any
@@ -48,6 +48,27 @@ def _component_vertex_bound(k: int) -> int:
     if k == 1:
         return MIN_PATH_LENGTH
     return (2 + 3 * MIN_PATH_LENGTH) * (k - 1)
+
+
+def feedback_edge_set(g: Graph) -> list[tuple[int, int]]:
+    """Minimum feedback edge set: complement of the lexicographically first
+    spanning forest (Kruskal order), so the result is deterministic."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            out.append((u, v))
+        else:
+            parent[ru] = rv
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,7 +217,7 @@ def kernelize_fes(g: Graph) -> KernelTrace:
     vertices, whichever comes first; in the second case each component
     meets its own bound (see the module docstring).  Forests short-circuit
     with their known width."""
-    k = g.num_edges() - g.n + len(connected_components(g))  # the cycle rank
+    k = len(feedback_edge_set(g))
     trace = KernelTrace(input_graph=g, k=k)
     if k == 0:
         trace.forest_shortcircuit = True

@@ -176,4 +176,5 @@ def format_sequence(s: Sequence[Entry]) -> str:
 
 
 def parse_sequence(text: str) -> Seq:
-    return comma_list(text, "sequence", to_sequence, {"_|_": BOTTOM})
+    return comma_list(text, "sequence",
+                      lambda ps: to_sequence(BOTTOM if p == "_|_" else int(p) for p in ps))

@@ -68,19 +68,14 @@ class SuiteResult:
                 f"{len(self.violations)} violations")
 
 
-@functools.cache
-def _evaluator(g: Graph) -> CutEvaluator:
-    return CutEvaluator(g)
-
-
-@functools.cache
-def width(g: Graph, sel: FamilySelector) -> int:
-    """Exact width, cached by labeled graph and selector: the instance
-    generators reproduce identical labelings across seeds, so a labeled key
-    dedupes nearly as well as an isomorphism key at a fraction of the cost;
-    one evaluator per graph shares the per-family cut values between
-    selectors."""
-    return exact_branchwidth_dp(g, sel, evaluator=_evaluator(g))[0]
+def _width_cache() -> Callable[[Graph, FamilySelector], int]:
+    """A memo of exact widths for one suite, keyed by labeled graph and
+    selector: the instance generators reproduce identical labelings across
+    seeds, so a labeled key dedupes nearly as well as an isomorphism key at
+    a fraction of the cost; one evaluator per graph shares the per-family
+    cut values between selectors."""
+    evaluator = functools.cache(CutEvaluator)
+    return functools.cache(lambda g, sel: exact_branchwidth_dp(g, sel, evaluator=evaluator(g))[0])
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -179,6 +174,7 @@ def suite_tw_bound(max_n: int = 7) -> SuiteResult:
 def suite_component(seed: int = 0, count: int = 100, max_n: int = 8) -> SuiteResult:
     res = SuiteResult("component", 0)
     rng = random.Random(seed)
+    width = _width_cache()
     for _ in range(count):
         n = rng.randint(2, max_n)
         g = _random_disconnected(rng, n)
@@ -258,6 +254,7 @@ def suite_fes_safety(seed: int = 0, count: int = 100) -> SuiteResult:
     kernel respects the 18k - 8 vertex bound."""
     res = SuiteResult("fes-safety", 0)
     rng = random.Random(seed)
+    width = _width_cache()
     for _ in range(count):
         g = _random_cycle_with_pendants(rng)
         trace = kernelize_fes(g)
@@ -391,6 +388,7 @@ def suite_prune_safety(seed: int = 0, count: int = 50) -> SuiteResult:
     if any(bound_f_star(k, p, k) != p for k in range(1, 5) for p in range(1, 5)):
         res.violations.append({"error": "f*(k,p,k) != p"})
     rng = random.Random(seed)
+    width = _width_cache()
     for _ in range(count):
         g = _random_spider_or_broom(rng)
         pruned, _ = prune_by_treedepth(g)

@@ -17,6 +17,7 @@ from fbranch.kernel import (
     UnimportantPath,
     _degree_two_runs,
     apply_step,
+    feedback_edge_set,
     kernel_vertex_bound,
     kernelize_fes,
     reduce_bridges_isolated,
@@ -36,28 +37,6 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def feedback_edge_set(g: Graph) -> list[tuple[int, int]]:
-    """Minimum feedback edge set: complement of the lexicographically first
-    spanning forest (Kruskal order), so the result is deterministic; the
-    reference for the kernel's k."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    out = []
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            out.append((u, v))
-        else:
-            parent[ru] = rv
-    return out
 
 
 def find_unimportant_path(g, min_len):
@@ -131,19 +110,6 @@ def test_feedback_edge_set_minimum():
         assert len(fes) == g.num_edges() - (g.n - c)
         rest = Graph(n, [e for e in g.edges() if e not in set(fes)])
         assert len(feedback_edge_set(rest)) == 0  # acyclic remainder
-
-
-def test_kernel_k_is_the_feedback_edge_set_size():
-    # forests (k = 0), connected and disconnected graphs with cycles
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(0, 12)
-        p = rng.choice((0.1, 0.2, 0.4))
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-        if rng.random() < 0.3:  # a spanning-forest subset: a forest
-            edges = [e for e in edges if e not in feedback_edge_set(Graph(n, edges))]
-        g = Graph(n, edges)
-        assert kernelize_fes(g).k == len(feedback_edge_set(g))
 
 
 def test_reduce_bridges_isolated_examples():

@@ -1,7 +1,8 @@
 """Every module-level function and class of ``src/fbranch``, public or
 private, is used by the package itself: a reference or helper that only the
 tests call lives in the tests.  The text-input grammar lives in one place,
-the reader in ``errors.py``."""
+the reader in ``errors.py``: no other module splits text, and no document
+parser converts a token itself."""
 
 import ast
 from collections import defaultdict
@@ -46,3 +47,23 @@ def text_splitters(src: Path = SRC) -> list[str]:
 
 def test_only_the_reader_splits_text():
     assert text_splitters() == []
+
+
+def document_parsers(src: Path = SRC) -> dict[str, list[int]]:
+    """The lines of the ``int`` calls in each document parser, a function
+    outside ``errors.py`` that calls ``read_document``."""
+    out = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+                if any(n.func.id == "read_document" for n in calls):
+                    out[fn.name] = [n.lineno for n in calls if n.func.id == "int"]
+    return out
+
+
+def test_document_parsers_convert_no_token():
+    assert document_parsers() == {"parse_graph": [], "parse_decomposition": [],
+                                  "parse_ordered_bipartite": []}
