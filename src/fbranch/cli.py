@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -38,14 +39,36 @@ from .typseq import (
 from .verify import SUITES, run_suites
 
 SCHEMA = "fbranch/1"
+COMMANDS = ("width", "solve", "kernelize", "prune", "classify", "typical",
+            "verify-lemmas")
 
 
 def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for
+    str-keyed dicts and lists, without the stdlib's pure-Python encoder
+    (its C encoder has no indent)."""
+    if obj and isinstance(obj, dict):
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json(v, inner)
+            for k, v in sorted(obj.items())) + indent + "}"
+    if obj and isinstance(obj, list):
+        inner = indent + "  "
+        if all(type(x) is int for x in obj):
+            return "[" + inner + ("," + inner).join(map(str, obj)) + indent + "]"
+        return "[" + inner + ("," + inner).join(
+            _json(x, inner) for x in obj) + indent + "]"
+    if type(obj) is int:
+        return str(obj)
+    return json.dumps(obj)
+
+
 def _emit(doc: dict, text: str, fmt: str, out: str | None) -> None:
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n" if fmt == "json" else text
+    payload = _json(doc) + "\n" if fmt == "json" else text
     if out:
         Path(out).write_text(payload)
     else:
@@ -98,7 +121,7 @@ def cmd_kernelize(args) -> int:
         Path(args.out).write_text(graph_to_text(final))
     if args.trace:
         doc = {"schema": SCHEMA, "command": "kernelize", **trace.to_json_dict()}
-        Path(args.trace).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.trace).write_text(_json(doc) + "\n")
     if trace.forest_shortcircuit:
         sys.stdout.write(
             f"forest input: width {trace.forest_width}, kernel unchanged "
@@ -136,16 +159,17 @@ def cmd_typical(args) -> int:
     if args.enumerate is not None:
         if args.seq is not None or args.interleave is not None:
             raise FBranchError("typical --enumerate takes no --seq or --interleave")
-        for s in enumerate_typical(args.enumerate):
-            sys.stdout.write(format_sequence(s) + "\n")
+        sys.stdout.write("".join(
+            format_sequence(s) + "\n" for s in enumerate_typical(args.enumerate)))
         return 0
     if args.seq is None:
         raise FBranchError("typical needs --seq or --enumerate")
     s = parse_sequence(args.seq)
     if args.interleave is not None:
         t = parse_sequence(args.interleave)
-        for r in sorted(interleave(typical_of(s), typical_of(t))):
-            sys.stdout.write(format_sequence(r) + "\n")
+        sys.stdout.write("".join(
+            format_sequence(r) + "\n"
+            for r in sorted(interleave(typical_of(s), typical_of(t)))))
         return 0
     sys.stdout.write(format_sequence(typical_of(s)) + "\n")
     return 0
@@ -172,69 +196,84 @@ def cmd_verify_lemmas(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with ``command`` one that knows only that
+    command.  Its usage line still lists every command through the
+    metavar; the full parser keeps argparse's own list, which its
+    "invalid choice" errors print."""
     p = argparse.ArgumentParser(
         prog="fbranch",
         description="branchwidth under obstruction-pattern cut functions")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
-    w = sub.add_parser("width", help="evaluate a decomposition's width")
-    w.add_argument("--graph", required=True)
-    w.add_argument("--decomp", required=True)
-    w.add_argument("--families", default="primal")
-    w.add_argument("--report", choices=("text", "json"), default="text")
-    w.add_argument("--out")
-    w.set_defaults(fn=cmd_width)
+    if command in (None, "width"):
+        w = sub.add_parser("width", help="evaluate a decomposition's width")
+        w.add_argument("--graph", required=True)
+        w.add_argument("--decomp", required=True)
+        w.add_argument("--families", default="primal")
+        w.add_argument("--report", choices=("text", "json"), default="text")
+        w.add_argument("--out")
+        w.set_defaults(fn=cmd_width)
 
-    s = sub.add_parser("solve", help="compute an optimal (or greedy) decomposition")
-    s.add_argument("--graph", required=True)
-    s.add_argument("--families", default="primal")
-    s.add_argument("--solver", choices=("dp", "enum", "greedy"), default="dp")
-    s.add_argument("--out-decomp")
-    s.add_argument("--report", choices=("text", "json"), default="text")
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_solve)
+    if command in (None, "solve"):
+        s = sub.add_parser("solve", help="compute an optimal (or greedy) decomposition")
+        s.add_argument("--graph", required=True)
+        s.add_argument("--families", default="primal")
+        s.add_argument("--solver", choices=("dp", "enum", "greedy"), default="dp")
+        s.add_argument("--out-decomp")
+        s.add_argument("--report", choices=("text", "json"), default="text")
+        s.add_argument("--out")
+        s.set_defaults(fn=cmd_solve)
 
-    k = sub.add_parser("kernelize", help="feedback-edge-set kernelization")
-    k.add_argument("--in", dest="infile", required=True)
-    k.add_argument("--out")
-    k.add_argument("--trace")
-    k.set_defaults(fn=cmd_kernelize)
+    if command in (None, "kernelize"):
+        k = sub.add_parser("kernelize", help="feedback-edge-set kernelization")
+        k.add_argument("--in", dest="infile", required=True)
+        k.add_argument("--out")
+        k.add_argument("--trace")
+        k.set_defaults(fn=cmd_kernelize)
 
-    pr = sub.add_parser("prune", help="treedepth-based duplicate pruning")
-    pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--threshold", type=int, default=None,
-                    help="fixed duplicate-class bound (default: surrogate)")
-    pr.add_argument("--out")
-    pr.set_defaults(fn=cmd_prune)
+    if command in (None, "prune"):
+        pr = sub.add_parser("prune", help="treedepth-based duplicate pruning")
+        pr.add_argument("--in", dest="infile", required=True)
+        pr.add_argument("--threshold", type=int, default=None,
+                        help="fixed duplicate-class bound (default: surrogate)")
+        pr.add_argument("--out")
+        pr.set_defaults(fn=cmd_prune)
 
-    c = sub.add_parser("classify", help="recognize an ordered bipartite pattern")
-    c.add_argument("--in", dest="infile", required=True)
-    c.set_defaults(fn=cmd_classify)
+    if command in (None, "classify"):
+        c = sub.add_parser("classify", help="recognize an ordered bipartite pattern")
+        c.add_argument("--in", dest="infile", required=True)
+        c.set_defaults(fn=cmd_classify)
 
-    t = sub.add_parser("typical", help="sequence compression utilities")
-    t.add_argument("--seq", help="comma-separated entries, _|_ for bottom")
-    t.add_argument("--interleave", help="second sequence")
-    t.add_argument("--enumerate", type=int, default=None, metavar="K",
-                   help="list all compressed sequences with entries up to K")
-    t.set_defaults(fn=cmd_typical)
+    if command in (None, "typical"):
+        t = sub.add_parser("typical", help="sequence compression utilities")
+        t.add_argument("--seq", help="comma-separated entries, _|_ for bottom")
+        t.add_argument("--interleave", help="second sequence")
+        t.add_argument("--enumerate", type=int, default=None, metavar="K",
+                       help="list all compressed sequences with entries up to K")
+        t.set_defaults(fn=cmd_typical)
 
-    v = sub.add_parser("verify-lemmas", help="run the structural-law suites")
-    v.add_argument("--only", action="append", choices=sorted(SUITES),
-                   help="run only this suite (repeatable)")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--quick", action="store_true",
-                   help="reduced budgets for a fast pass")
-    v.add_argument("--counterexamples", default="counterexamples",
-                   help="directory for violation dumps")
-    v.set_defaults(fn=cmd_verify_lemmas)
+    if command in (None, "verify-lemmas"):
+        v = sub.add_parser("verify-lemmas", help="run the structural-law suites")
+        v.add_argument("--only", action="append", choices=sorted(SUITES),
+                       help="run only this suite (repeatable)")
+        v.add_argument("--seed", type=int, default=0)
+        v.add_argument("--quick", action="store_true",
+                       help="reduced budgets for a fast pass")
+        v.add_argument("--counterexamples", default="counterexamples",
+                       help="directory for violation dumps")
+        v.set_defaults(fn=cmd_verify_lemmas)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (FBranchError, OSError, UnicodeDecodeError) as exc:

@@ -1,14 +1,17 @@
+import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbranch.cutfn
-from fbranch.cli import build_parser, main
+from fbranch.cli import COMMANDS, _json, build_parser, main
 from fbranch.decomp import (
     ENUM_MAX_N,
     GREEDY_MAX_N,
@@ -468,6 +471,132 @@ def test_readme_cli_lines_parse():
     lines = [line.split("#", 1)[0] for line in block.splitlines()
              if line.startswith("fbranch ")]
     assert len(lines) >= 10
-    parser = build_parser()
     for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        assert argv[0] in COMMANDS, line
+        build_parser(argv[0]).parse_args(argv)
+
+
+PARSE_EXITS = [
+    *([command, "--help"] for command in COMMANDS),
+    ["--help"], ["--version"], [], ["-h", "solve"],
+    ["bogus"], ["Solve", "--graph", "g"],
+    ["solve"], ["width", "--graph", "g"], ["kernelize"], ["prune"], ["classify"],
+    ["solve", "--graph", "g", "--solver", "fast"],
+    ["width", "--graph", "g", "--decomp", "d", "--report", "xml"],
+    ["verify-lemmas", "--only", "no-such-suite"],
+    ["prune", "--in", "g", "--threshold", "x"],
+    ["solve", "--gra"],
+    ["width", "--graph", "g", "--decomp", "d", "--bogus"],
+    ["solve", "--graph", "g", "extra"],
+    ["kernelize", "--in", "g", "--bogus"],
+    ["prune", "--in", "g", "--bogus"],
+    ["classify", "--in", "g", "--bogus"],
+    ["typical", "--seq", "1,2", "--bogus"],
+    ["verify-lemmas", "--quick", "--bogus"],
+    ["typical", "--version"],
+]
+
+
+def parse_exit(capsys, parse, argv):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_per_command_parser_exits_like_the_full_parser(capsys, argv):
+    """main builds only the named command's parser; its help, usage and
+    error output, and its exit code, are those of the full parser."""
+    full = parse_exit(capsys, build_parser().parse_args, list(argv))
+    assert full[0] in (0, 2), full
+    assert parse_exit(capsys, main, list(argv)) == full
+
+
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["typical", "--seq", "1"]) == 0
+    assert built == ["typical"]
+    built.clear()
+    build_parser()
+    assert tuple(built) == COMMANDS
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+        ["", '"', "\\", "\n\t\x00\x1f", "é", "\u2028", "\U0001f600"]))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(-5, 10**6), max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def assert_written_by_json_dumps(text):
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_json_documents_match_json_dumps(tmp_path, capsys, seed):
+    """Every JSON document the CLI writes has the bytes of
+    json.dumps(indent=2, sort_keys=True): solve and width reports with
+    witness pairs and kernelize traces with and without removed bridges."""
+    rng = random.Random(seed)
+    n = 8
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(pairs, 5 + seed * 3)
+    g = tmp_path / "g.txt"
+    g.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    tree = tmp_path / "g.tree"
+    for families in ("match", "all"):
+        code, out, _ = run(capsys, "solve", "--graph", str(g), "--families", families,
+                           "--out-decomp", str(tree), "--report", "json")
+        assert code == 0
+        assert_written_by_json_dumps(out)
+        code, out, _ = run(capsys, "width", "--graph", str(g), "--decomp", str(tree),
+                           "--families", families, "--report", "json")
+        assert code == 0 and json.loads(out)["edges"][0]["witness"]["pairs"]
+        assert_written_by_json_dumps(out)
+    # a cycle with a pendant path, then that path alone (a forest)
+    k = 10 + seed
+    cycle = [(i, (i + 1) % k) for i in range(k)] + [(0, k), (k, k + 1)]
+    for text in (f"{k + 2} {len(cycle)}\n" + "".join(f"{u} {v}\n" for u, v in cycle),
+                 f"{k + 2} 2\n0 {k}\n{k} {k + 1}\n", C6):
+        g.write_text(text)
+        trace = tmp_path / "trace.json"
+        assert run(capsys, "kernelize", "--in", str(g), "--trace", str(trace))[0] == 0
+        assert_written_by_json_dumps(trace.read_text())
+
+
+def test_cli_json_documents_of_edgeless_graphs_match_json_dumps(tmp_path, capsys):
+    for text in ("1 0\n", "3 0\n"):
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        tree = tmp_path / "g.tree"
+        code, out, _ = run(capsys, "solve", "--graph", str(g), "--families", "match",
+                           "--out-decomp", str(tree), "--report", "json")
+        assert code == 0
+        assert_written_by_json_dumps(out)
+        code, out, _ = run(capsys, "width", "--graph", str(g), "--decomp", str(tree),
+                           "--families", "match", "--report", "json")
+        assert code == 0
+        assert (json.loads(out)["argmax_edge"] is None) == (text == "1 0\n")
+        assert_written_by_json_dumps(out)
