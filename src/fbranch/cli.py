@@ -64,6 +64,8 @@ def _json(obj, indent: str = "\n") -> str:
             _json(x, inner) for x in obj) + indent + "]"
     if type(obj) is int:
         return str(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
     return json.dumps(obj)
 
 

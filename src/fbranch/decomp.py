@@ -13,7 +13,8 @@ dynamic program, searched top down with branch and bound over one byte
 table of lower bounds on the cut values.  Twin-class values fill it at
 once; pattern-family values are evaluated lazily, each only as far as the
 incumbent width needs.  One split loop serves both and visits only the
-splits whose two bounds are below the incumbent.
+splits whose two bounds are below the incumbent; twin-class candidates
+come from a per-lowest-vertex list of the masks below the incumbent.
 For primal unions the dynamic program runs per component, and the
 component law gives the width.  The two solvers agree by construction on
 any symmetric cut function and cross-check each other in the test suite.
@@ -36,8 +37,8 @@ from .graph import Graph, _iter_bits, connected_components, induced_subgraph, ma
 
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
 # the dp keeps 2^n-entry tables: a byte per mask for value bounds, exact
-# marks and width bounds, and a list of splits; a split search may walk
-# 2^|S| submasks.  A side of an ntc cut has at most min(|X|, 2^(n - |X|))
+# marks and width bounds, and a 4-byte array of splits; a split search may
+# walk 2^|S| submasks.  A side of an ntc cut has at most min(|X|, 2^(n - |X|))
 # twin classes, 11 at n = 15 and 15 for n <= 19: cutfn.ntc_table counts in 4 bits
 DP_MAX_N = 15
 # greedy: each split's swap search evaluates up to n^2 / 4 cuts per swap;
@@ -299,7 +300,7 @@ def _tree_from_splits(n: int, split: Callable[[int], tuple[int, int]]
 
 
 def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
-               ) -> tuple[int, list[int]]:
+               ) -> tuple[int, array]:
     """Exact solver on the whole vertex set: best(S) is the minimum over
     unordered splits {S1, S2} of max(f(S1), f(S2), best(S1), best(S2)) with
     singleton base 0.  The best split of V is the root edge: f(S1) equals
@@ -315,10 +316,11 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     exact, from one bit-sliced fill (``cutfn.ntc_table``); pattern-family
     values are evaluated lazily, capped at the incumbent.  One loop walks
     the candidate sides S1 ascending, taken from the masks below the
-    incumbent (twin classes) or from the submasks of S holding its lowest
-    vertex (pattern families).  The root starts from the balanced-edge
-    lower bound.  Every decision compares a cut value with the incumbent,
-    so the splits stay those of the full table."""
+    incumbent whose lowest vertex is S's (twin classes), or from the
+    submasks of S holding its lowest vertex (pattern families).  The root
+    starts from the balanced-edge lower bound.  Every decision compares a
+    cut value with the incumbent, so the splits stay those of the full
+    table."""
     n = g.n
     full = (1 << n) - 1
     top = n + 1  # above every cut value, so every value and bound fits a byte
@@ -340,7 +342,7 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
         exact = bytearray(full + 1)
         for v in range(n):
             resolve(1 << v, top)
-    split = [0] * (full + 1)
+    split = array("I", [0]) * (full + 1)
 
     # low[m] is a lower bound on best(m), exact once split[m] is set; a
     # rooted tree on m cuts off each vertex of m, so the first visit starts
@@ -350,18 +352,21 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
 
     @cache
-    def below(w: int) -> array:
-        """The masks m with f(m) < w, ascending (twin-class table only)."""
-        is_below = bytes(map(w.__gt__, range(256)))  # value v -> v < w
-        return array("I", compress(range(full + 1), vals.translate(is_below)))
+    def below(w: int, bit: int) -> array:
+        """The masks m with f(m) < w and lowest bit ``bit``, ascending
+        (twin-class table only)."""
+        is_below = b"\1" * w + bytes(256 - w)  # value v -> v < w
+        return array("I", compress(range(bit, full + 1, 2 * bit),
+                                   vals[bit::2 * bit].translate(is_below)))
 
     def below_window(s: int, after: int, inc: int) -> Iterator[int]:
-        # the splits of s that can pass lie in below(inc): walk them from
-        # just after ``after`` (islice, not a slice: a copy would stay
-        # alive down the recursion)
-        masks = below(inc)
+        # a side S1 holding s's lowest vertex has it as its own lowest bit,
+        # so the splits of s that can pass lie in below(inc, s & -s): walk
+        # them from just after ``after`` (islice, not a slice: a copy would
+        # stay alive down the recursion)
+        masks = below(inc, s & -s)
         window = islice(masks, bisect_right(masks, after), bisect_left(masks, s))
-        return filter((s & -s).__and__, filterfalse((full ^ s).__and__, window))
+        return filterfalse((full ^ s).__and__, window)
 
     def submasks(s: int, after: int, inc: int) -> Iterator[int]:
         # bit | t for the submasks t of rest ascending (t == rest excluded:

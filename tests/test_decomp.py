@@ -1,11 +1,14 @@
+import bisect
+import functools
 import itertools
 import random
+from array import array
 
 import pytest
 
 from fbranch import decomp
 from fbranch.atlas import all_graph_classes, connected_graph_classes, tree_classes
-from fbranch.cutfn import ALL_FAMILIES, PRIMAL, CutEvaluator, FamilySelector
+from fbranch.cutfn import ALL_FAMILIES, PRIMAL, CutEvaluator, FamilySelector, ntc_table
 from fbranch.decomp import (
     DP_MAX_N,
     BranchDecomposition,
@@ -552,6 +555,84 @@ def test_dp_matches_bottom_up_oracle_on_larger_graphs(monkeypatch):
     for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
         assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
             (g, sel.name())
+
+
+def _whole_table_ntc_splits(g, sel, evaluator):
+    """Reference twin-class split search: the same top-down branch and
+    bound, with the candidate sides S1 of S taken from one ascending list
+    of every mask below the incumbent, the window (after, S) of it filtered
+    down to the submasks of S holding S's lowest vertex."""
+    n = g.n
+    full = (1 << n) - 1
+    vals = ntc_table(g)
+    split = [0] * (full + 1)
+    low = bytearray(full + 1)
+    singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
+
+    @functools.cache
+    def below(w):
+        is_below = bytes(map(w.__gt__, range(256)))
+        return array("I", itertools.compress(range(full + 1), vals.translate(is_below)))
+
+    def below_window(s, after, inc):
+        masks = below(inc)
+        window = itertools.islice(masks, bisect.bisect_right(masks, after),
+                                  bisect.bisect_left(masks, s))
+        return filter((s & -s).__and__, itertools.filterfalse((full ^ s).__and__, window))
+
+    def solve(s, bound):
+        lo = low[s]
+        if split[s]:
+            return lo
+        if not lo:
+            lo = low[s] = vals[next(filter(s.__and__, singles))]
+        if lo >= bound:
+            return lo
+        inc = bound
+        s1 = 0
+        while inc > lo:
+            for s1 in below_window(s, s1, inc):
+                s2 = s ^ s1
+                if vals[s1] < inc and vals[s2] < inc:
+                    val = max(vals[s1], vals[s2])
+                    if val < inc and s1 & (s1 - 1):
+                        val = max(val, solve(s1, inc))
+                    if val < inc and s2 & (s2 - 1):
+                        val = max(val, solve(s2, inc))
+                    if val < inc:
+                        inc = val
+                        split[s] = s1
+                        break
+            else:
+                break
+        low[s] = inc
+        return inc
+
+    if n <= 1:
+        return 0, split
+    for floor in range(n + 2):
+        m = vals.find(floor)
+        while m >= 0 and not n <= 3 * m.bit_count() <= 2 * n:
+            m = vals.find(floor, m + 1)
+        if m >= 0:
+            break
+    low[full] = max(vals[singles[0]], floor)
+    return solve(full, n + 1), split
+
+
+def test_ntc_dp_matches_whole_table_split_search(monkeypatch):
+    # the per-lowest-vertex candidate lists make the decisions of one
+    # whole-table list against the same incumbents; connected graphs at
+    # n 13-15, covering the four densities of the benchmark's ntc slots
+    ntc = FamilySelector.parse("ntc")
+    rng = random.Random(26)
+    cases = [g for i in range(12)
+             for g in _connected_graphs(rng, 13 + i % 3, (0.3, 0.4, 0.5, 0.6)[i // 3], 1)]
+    got = [exact_branchwidth_dp(g, ntc) for g in cases]
+    monkeypatch.setattr(decomp, "_dp_splits", _whole_table_ntc_splits)
+    expected = [exact_branchwidth_dp(g, ntc) for g in cases]
+    for g, (w, bd), (w_old, bd_old) in zip(cases, got, expected):
+        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), g
 
 
 def _uncapped_balanced_split(ev, sel, mask):
