@@ -99,22 +99,26 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 def connected_components(g: Graph, vertices: Iterable[int] | None = None
                          ) -> list[frozenset[int]]:
     """Maximal connected vertex sets of the subgraph induced on ``vertices``
-    (default: all of g), sorted by smallest member."""
-    inside = frozenset(range(g.n) if vertices is None else vertices)
-    seen: set[int] = set()
+    (default: all of g), sorted by smallest member.  One walk: a vertex
+    outside ``vertices`` starts out seen, so it is never entered."""
+    if vertices is None:
+        seen = [False] * g.n
+    else:
+        seen = [True] * g.n
+        for v in vertices:
+            seen[v] = False
+    adj = g.adj
     comps = []
-    for start in sorted(inside):
-        if start in seen:
+    for start in range(g.n):
+        if seen[start]:
             continue
-        stack = [start]
-        comp = {start}
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in inside and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
+        seen[start] = True
+        comp = [start]
+        for u in comp:  # grows while it is read: a breadth-first walk
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
         comps.append(frozenset(comp))
     return comps
 
@@ -129,7 +133,7 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
         if disc[root] != -1:
             continue
         # iterative DFS; (vertex, parent, neighbor iterator)
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(sorted(g.adj[root])))]
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -139,7 +143,7 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(sorted(g.adj[w]))))
+                    stack.append((w, v, iter(g.adj[w])))
                     advanced = True
                     break
                 elif w != parent:

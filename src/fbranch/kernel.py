@@ -1,10 +1,10 @@
 """Linear kernel driven by the feedback edge set number.
 
-The pipeline: compute k once (spanning-forest complement), clean the graph
-by deleting all bridges and then all isolated vertices, and while more than
-18k - 8 vertices remain, contract an interior edge of a degree-two path of
-length at least eight.  Forests short-circuit: their width is 1 when any
-edge exists, 0 otherwise, so no kernelization is needed.
+The pipeline: compute k once, as m - n + c with c from one component walk,
+clean the graph by deleting all bridges and then all isolated vertices, and
+while more than 18k - 8 vertices remain, contract an interior edge of a
+degree-two path of length at least eight.  Forests short-circuit: their
+width is 1 when any edge exists, 0 otherwise, so no kernelization is needed.
 
 18k - 8 is the target, not a guarantee: the rule stops once every
 degree-two run is down to eight vertices.  A cleaned component with
@@ -48,45 +48,6 @@ def _component_vertex_bound(k: int) -> int:
     if k == 1:
         return MIN_PATH_LENGTH
     return (2 + 3 * MIN_PATH_LENGTH) * (k - 1)
-
-
-def feedback_edge_set(g: Graph) -> list[tuple[int, int]]:
-    """Minimum feedback edge set: complement of the lexicographically first
-    spanning forest (Kruskal order), so the result is deterministic."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    out = []
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            out.append((u, v))
-        else:
-            parent[ru] = rv
-    return out
-
-
-@dataclass(frozen=True)
-class UnimportantPath:
-    """A path whose vertices all have degree exactly two in the host graph."""
-
-    vertices: tuple[int, ...]
-
-    def validate(self, g: Graph) -> None:
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            raise ValueError("path vertices must be distinct")
-        for v in vs:
-            if g.degree(v) != 2:
-                raise ValueError(f"vertex {v} has degree {g.degree(v)} != 2")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"vertices {a}, {b} not adjacent")
 
 
 @dataclass(frozen=True)
@@ -217,7 +178,7 @@ def kernelize_fes(g: Graph) -> KernelTrace:
     vertices, whichever comes first; in the second case each component
     meets its own bound (see the module docstring).  Forests short-circuit
     with their known width."""
-    k = len(feedback_edge_set(g))
+    k = g.num_edges() - g.n + len(connected_components(g))
     trace = KernelTrace(input_graph=g, k=k)
     if k == 0:
         trace.forest_shortcircuit = True
@@ -244,7 +205,6 @@ def kernelize_fes(g: Graph) -> KernelTrace:
         count = min(len(walk) - MIN_PATH_LENGTH, excess)
         if count <= 0:
             continue
-        UnimportantPath(tuple(walk)).validate(cleaned)
         # Contracting the middle edge of the run's first path again and again
         # merges walk[mid : mid + 1 + count] into its smallest vertex; the
         # path of the j-th contraction is walk[:mid], the vertex merged so

@@ -97,9 +97,18 @@ def test_connected_components_within_vertices():
         expected = [frozenset(remap[i] for i in c) for c in connected_components(sub)]
         assert connected_components(g, subset) == expected
         assert connected_components(g, iter(subset)) == expected
+        assert connected_components(g, (v for v in subset * 2)) == expected  # repeats
         assert connected_components(g, []) == []
         assert connected_components(g, None) == connected_components(g)
         assert connected_components(g, range(n)) == connected_components(g)
+    # a 2,000-vertex path, relabelled: the walk goes 2,000 deep without recursion
+    perm = list(range(2000))
+    rng.shuffle(perm)
+    long_path = Graph(2000, [(perm[i], perm[i + 1]) for i in range(1999)])
+    assert connected_components(long_path) == [frozenset(range(2000))]
+    cut = {perm[500], perm[1500]}
+    assert connected_components(long_path, (v for v in perm + perm if v not in cut)) == sorted(
+        (frozenset(perm[:500]), frozenset(perm[501:1500]), frozenset(perm[1501:])), key=min)
 
 def brute_force_bridges(g):
     base = len(connected_components(g))

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,8 @@ from fbranch.kernel import (
     ContractionStep,
     KernelTrace,
     RuleOneStep,
-    UnimportantPath,
     _degree_two_runs,
     apply_step,
-    feedback_edge_set,
     kernel_vertex_bound,
     kernelize_fes,
     reduce_bridges_isolated,
@@ -37,6 +36,46 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def spanning_forest_complement(g):
+    """Minimum feedback edge set by union-find: the edges left out of the
+    lexicographically first spanning forest (Kruskal order).  The
+    independent reference for the kernel's k = m - n + c."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            out.append((u, v))
+        else:
+            parent[ru] = rv
+    return out
+
+
+@dataclass(frozen=True)
+class UnimportantPath:
+    """A path whose vertices all have degree exactly two in the host graph."""
+
+    vertices: tuple[int, ...]
+
+    def validate(self, g):
+        vs = self.vertices
+        if len(set(vs)) != len(vs):
+            raise ValueError("path vertices must be distinct")
+        for v in vs:
+            if g.degree(v) != 2:
+                raise ValueError(f"vertex {v} has degree {g.degree(v)} != 2")
+        for a, b in zip(vs, vs[1:]):
+            if not g.has_edge(a, b):
+                raise ValueError(f"vertices {a}, {b} not adjacent")
 
 
 def find_unimportant_path(g, min_len):
@@ -93,23 +132,30 @@ def replay(trace):
 
 
 def test_feedback_edge_set_examples():
-    assert feedback_edge_set(path(6)) == []
-    assert len(feedback_edge_set(cycle(5))) == 1
+    assert kernelize_fes(path(6)).k == 0
+    assert kernelize_fes(cycle(5)).k == 1
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert len(feedback_edge_set(two_triangles)) == 2
+    assert kernelize_fes(two_triangles).k == 2
 
 
 def test_feedback_edge_set_minimum():
+    """k is the size of the union-find reference, and removing that edge
+    set leaves an acyclic remainder."""
     rng = random.Random(3)
+    forests = disconnected = 0
     for _ in range(30):
         n = rng.randint(2, 8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         g = Graph(n, edges)
-        fes = feedback_edge_set(g)
+        fes = spanning_forest_complement(g)
         c = len(connected_components(g))
-        assert len(fes) == g.num_edges() - (g.n - c)
+        assert kernelize_fes(g).k == len(fes) == g.num_edges() - (g.n - c)
         rest = Graph(n, [e for e in g.edges() if e not in set(fes)])
-        assert len(feedback_edge_set(rest)) == 0  # acyclic remainder
+        assert spanning_forest_complement(rest) == []  # acyclic remainder
+        assert kernelize_fes(rest).k == 0
+        forests += not fes
+        disconnected += c > 1
+    assert forests and disconnected
 
 
 def test_reduce_bridges_isolated_examples():
@@ -149,6 +195,24 @@ def test_find_unimportant_path():
     assert p is not None
     assert set(p.vertices) <= {2, 3, 4, 5, 6, 7, 8}
     p.validate(theta)
+
+
+def test_degree_two_runs_are_unimportant_paths():
+    """Every run the kernel sweep shortens is a walk of distinct degree-two
+    vertices, adjacent in sequence, and the runs cover each degree-two
+    vertex once."""
+    rng = random.Random(19)
+    graphs = [reduce_bridges_isolated(g)[0] for g in _oracle_inputs()]
+    for _ in range(40):
+        n = rng.randint(3, 30)
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.12]))
+    for g in graphs:
+        runs = _degree_two_runs(g)
+        for walk in runs:
+            UnimportantPath(tuple(walk)).validate(g)
+        covered = sorted(v for walk in runs for v in walk)
+        assert covered == [v for v in range(g.n) if g.degree(v) == 2]
 
 
 def test_contract_path_edge():
@@ -281,7 +345,7 @@ def _stepwise_kernel(g):
     """The kernel loop one contraction at a time: re-find the first long
     degree-two run on the contracted graph before every step, until the
     target size is met or no run is long enough."""
-    k = len(feedback_edge_set(g))
+    k = len(spanning_forest_complement(g))
     cur, step = reduce_bridges_isolated(g)
     trace = KernelTrace(input_graph=g, k=k, steps=[step])
     while cur.n > kernel_vertex_bound(k):
