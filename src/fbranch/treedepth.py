@@ -4,12 +4,15 @@ calculators that justify the pruning thresholds.
 A rooted forest whose closure contains the graph certifies treedepth; the
 exact solver is a branch and bound over vertex masks: each root of a
 connected set is searched only below the best height found so far, and a
-set whose search hits its cap keeps the lower bound it proved.  Pruning walks
-the decomposition bottom-up, groups sibling subtrees by their attachment-
-colored canonical form, and keeps only a bounded number per class.  The
-provably safe class bound g(t, p) is computed but never prunes: its least
-value, g(1, 1) = 78,653, exceeds the at most 11 siblings of any graph
-within the exact solver's limit (n <= 12), so it would keep every vertex.
+set whose search hits its cap keeps the lower bound it proved.  It returns
+the forest as a parent map that lists every vertex after its parent.
+Pruning reads that map on vertex masks (each node's attachment set in one
+pass down, its subtree in one pass up), walks it bottom-up, groups sibling
+subtrees by their attachment-colored canonical form, and keeps only a
+bounded number per class.  The provably safe class bound g(t, p) is
+computed but never prunes: its least value, g(1, 1) = 78,653, exceeds the
+at most 11 siblings of any graph within the exact solver's limit
+(n <= 12), so it would keep every vertex.
 The default is a small surrogate whose safety the test suite checks
 empirically, width before versus width after.
 """
@@ -21,65 +24,16 @@ from math import comb
 
 from .canonical import canonical_form
 from .errors import SizeLimitError, ValidationError
-from .graph import Graph, _adjacency_masks, _component, induced_subgraph
-
-
-@dataclass
-class TreedepthDecomposition:
-    """Rooted forest over the graph's vertices: parent map (roots map to
-    None) whose closure contains every graph edge."""
-
-    parent: dict[int, int | None]
-
-    def depth(self, v: int) -> int:
-        return len(self._ancestors(v)) + 1
-
-    @property
-    def height(self) -> int:
-        return max((self.depth(v) for v in self.parent), default=0)
-
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                if p not in out:
-                    raise ValidationError(f"parent {p} of vertex {v} is not a vertex")
-                out[p].append(v)
-        for lst in out.values():
-            lst.sort()
-        return out
-
-    def validate(self, g: Graph) -> None:
-        if set(self.parent) != set(range(g.n)):
-            raise ValidationError("parent map must cover exactly the graph's vertices")
-        for v, p in self.parent.items():
-            if p is not None and p not in self.parent:
-                raise ValidationError(f"parent {p} of vertex {v} is not a vertex")
-            if v in self._ancestors(v):
-                raise ValidationError(f"parent map has a cycle through vertex {v}")
-        for u, v in g.edges():
-            au = self._ancestors(u)
-            if v not in au and u not in self._ancestors(v):
-                raise ValidationError(f"edge ({u}, {v}) not in the forest closure")
-
-    def _ancestors(self, v: int) -> set[int]:
-        """Ancestors of v; the walk stops after a root, after a parent
-        outside the map, or where it meets a vertex it already passed (a
-        cycle)."""
-        out = set()
-        v = self.parent[v]
-        while v is not None and v not in out:
-            out.add(v)
-            v = self.parent.get(v)
-        return out
+from .graph import Graph, _adjacency_masks, _component, induced_subgraph, mask_of, set_of
 
 
 TREEDEPTH_MAX_N = 12
 
 
-def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
+def treedepth_decomposition(g: Graph) -> dict[int, int | None]:
     """Exact minimum-height rooted forest by branch and bound on vertex
-    masks.
+    masks, as a parent map (roots map to None) that lists every vertex
+    after its parent.
 
     ``depth(s, bound)`` returns td(s) when it is below ``bound``, and
     otherwise a lower bound that is at least ``bound``.  A connected set
@@ -88,7 +42,8 @@ def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
     that attains the minimum is kept.  ``exact`` holds each solved set's
     treedepth and that root, or None for a disconnected set; ``low`` holds
     the lower bound of a set whose search hit its cap.  The forest is then
-    hung from ``exact`` in one pass from the top."""
+    hung from ``exact`` in one pass from the top, which sets each root's
+    parent before it descends below that root."""
     if g.n > TREEDEPTH_MAX_N:
         raise SizeLimitError(
             f"exact treedepth limited to n <= {TREEDEPTH_MAX_N}, got {g.n}")
@@ -153,16 +108,17 @@ def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
         else:
             parent[root] = above
             stack.append((s ^ (1 << root), root))
-    return TreedepthDecomposition(parent)
+    return parent
 
 
-def _signature(g: Graph, attach: frozenset[int], comp: frozenset[int]) -> tuple:
-    """Equality class of a component: colored canonical form of its graph,
-    where each vertex's color is the exact set of attachment vertices it
-    neighbors.  Equal signatures mean an isomorphism exists matching both
-    the component graphs and every attachment adjacency."""
-    sub, remap = induced_subgraph(g, comp)
-    return canonical_form(sub, [tuple(sorted(g.adj[v] & attach)) for v in remap])
+def _signature(g: Graph, attach: int, comp: int) -> tuple:
+    """Equality class of a component, given with the attachment set as
+    vertex masks: colored canonical form of its graph, where each vertex's
+    color is the mask of the attachment vertices it neighbors.  Equal
+    signatures mean an isomorphism exists matching both the component
+    graphs and every attachment adjacency."""
+    sub, remap = induced_subgraph(g, set_of(comp))
+    return canonical_form(sub, [mask_of(g.adj[v]) & attach for v in remap])
 
 
 @dataclass
@@ -239,32 +195,39 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None
     """
     if threshold is not None and threshold < 1:
         raise ValidationError("threshold must be >= 1")
-    td = treedepth_decomposition(g)
-    kids = td.children()
-    depth = {v: td.depth(v) for v in td.parent}
+    parent = treedepth_decomposition(g)
+    # one pass down, parents first: a node's ancestors and itself, the
+    # vertices its child subtrees attach to; its depth is their number
+    attach: dict[int, int] = {}
+    for v, p in parent.items():
+        attach[v] = (0 if p is None else attach[p]) | 1 << v
 
-    below: dict[int, frozenset[int]] = {}  # node -> its decomposition subtree
-    alive: set[int] = set(range(g.n))
+    below = {v: 1 << v for v in parent}  # node -> its decomposition subtree
+    kids: dict[int, list[int]] = {v: [] for v in parent}
+    alive = (1 << g.n) - 1
     removed: list[frozenset[int]] = []
-    # deepest nodes first, so every subtree is pruned before its ancestors
-    for node in sorted(td.parent, key=lambda v: (-depth[v], v)):
-        below[node] = frozenset([node]).union(*(below[c] for c in kids[node]))
-        if node not in alive:
+    # deepest nodes first, so every subtree is pruned before its ancestors;
+    # a node's children are all passed, in ascending order, before it
+    for node in sorted(parent, key=lambda v: (-attach[v].bit_count(), v)):
+        up = parent[node]
+        if up is not None:
+            below[up] |= below[node]
+            kids[up].append(node)
+        if not alive >> node & 1:
             continue
-        # the subtrees attach to the node and its ancestors: depth[node] vertices
-        attach = frozenset(td._ancestors(node) | {node})
-        classes: dict[tuple, list[frozenset[int]]] = {}
+        classes: dict[tuple, list[int]] = {}
         for c in kids[node]:
-            if c in alive:
+            if alive >> c & 1:
                 sub = below[c] & alive
-                classes.setdefault(_signature(g, attach, sub), []).append(sub)
+                classes.setdefault(_signature(g, attach[node], sub), []).append(sub)
         # of each class keep the members with the smallest vertices
         for members in classes.values():
-            members.sort(key=min)
+            members.sort(key=lambda m: m & -m)
             bound = (threshold if threshold is not None
-                     else surrogate_threshold(depth[node], len(members[0])))
+                     else surrogate_threshold(attach[node].bit_count(),
+                                              members[0].bit_count()))
             for extra in members[bound:]:
-                removed.append(extra)
-                alive -= extra
-    out, _ = induced_subgraph(g, alive)
+                removed.append(set_of(extra))
+                alive &= ~extra
+    out, _ = induced_subgraph(g, set_of(alive))
     return out, PruneRecord(removed=removed)

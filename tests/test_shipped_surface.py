@@ -1,35 +1,48 @@
 """Every module-level function and class of ``src/fbranch``, public or
-private, is used by the package itself: a reference or helper that only the
-tests call lives in the tests.  The text-input grammar lives in one place,
-the reader in ``errors.py``: no other module splits text, and no document
-parser converts a token itself."""
+private, and every non-dunder method and property of its classes, is used
+by the package itself: a reference or helper that only the tests call
+lives in the tests.  The text-input grammar lives in one place, the reader
+in ``errors.py``: no other module splits text, and no document parser
+converts a token itself."""
 
 import ast
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fbranch"
 
 
+def _names(node: ast.AST) -> Counter:
+    """How often each name occurs in ``node``, as a bare name, an attribute
+    or an imported name."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+    return out
+
+
 def unreferenced_definitions(src: Path = SRC) -> list[str]:
-    """``module.name`` for each top-level def or class of ``src`` that no
-    other top-level statement of any module there names, as a bare name,
-    an attribute or an imported name."""
-    defined = []
-    users = defaultdict(set)  # name -> {(module, top-level statement index)}
+    """``module.name`` for each top-level def or class of ``src``, and
+    ``module.Class.name`` for each non-dunder method or property of a
+    top-level class, whose name no code of any module there names outside
+    the definition itself."""
+    defined = []  # (qualified name, definition)
+    uses = Counter()
     for path in sorted(src.glob("*.py")):
-        for i, node in enumerate(ast.parse(path.read_text()).body):
+        for node in ast.parse(path.read_text()).body:
+            uses += _names(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.stem, i, node.name))
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    users[sub.id].add((path.stem, i))
-                elif isinstance(sub, ast.Attribute):
-                    users[sub.attr].add((path.stem, i))
-                elif isinstance(sub, ast.alias):
-                    users[sub.name].add((path.stem, i))
-    return [f"{module}.{name}" for module, i, name in defined
-            if not users[name] - {(module, i)}]
+                defined.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return [name for name, node in defined if uses[node.name] == _names(node)[node.name]]
 
 
 def test_every_definition_has_a_caller_in_the_package():

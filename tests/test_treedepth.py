@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from fbranch.atlas import all_graph_classes
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
-from fbranch.errors import SizeLimitError, ValidationError
+from fbranch.errors import SizeLimitError
 from fbranch.families import Family
-from fbranch.graph import Graph, connected_components, induced_subgraph
+from fbranch.graph import Graph, connected_components, induced_subgraph, mask_of
 import fbranch.treedepth
 from fbranch.treedepth import (
     bound_f,
@@ -22,7 +23,6 @@ from fbranch.treedepth import (
     prune_by_treedepth,
     surrogate_threshold,
     treedepth_decomposition,
-    TreedepthDecomposition,
 )
 
 PRIMAL_UNIONS = [FamilySelector(families=frozenset(fams))
@@ -81,14 +81,35 @@ def brute_force_treedepth(g):
     return solve(frozenset(range(g.n)))
 
 
+def forest_attachments(g, parent):
+    """Each vertex's ancestors and itself in a solver forest, after checking
+    that the parent map covers exactly g's vertices, lists every vertex
+    after its parent (so it has no cycle) and holds every edge of g in its
+    closure."""
+    assert sorted(parent) == list(range(g.n))
+    attach = {}
+    for v, p in parent.items():
+        assert p is None or p in attach, f"vertex {v} is listed before its parent {p}"
+        attach[v] = (frozenset() if p is None else attach[p]) | {v}
+    for u, v in g.edges():
+        assert u in attach[v] or v in attach[u], f"edge ({u}, {v}) not in the forest closure"
+    return attach
+
+
+def forest_height(g, parent):
+    """Height of a solver forest that ``forest_attachments`` accepts."""
+    return max(map(len, forest_attachments(g, parent).values()), default=0)
+
+
 def test_treedepth_examples():
-    assert treedepth_decomposition(star(3)).height == 2
-    assert treedepth_decomposition(Graph(3, [(0, 1), (1, 2), (0, 2)])).height == 3
+    assert forest_height(star(3), treedepth_decomposition(star(3))) == 2
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert forest_height(triangle, treedepth_decomposition(triangle)) == 3
     # frozen from the recursion oracle; td(P_n) = ceil(log2(n+1))
     assert brute_force_treedepth(path(4)) == 3
-    assert treedepth_decomposition(path(4)).height == 3
     for n in range(1, 8):
-        assert treedepth_decomposition(path(n)).height == math.ceil(math.log2(n + 1))
+        assert forest_height(path(n), treedepth_decomposition(path(n))) \
+            == math.ceil(math.log2(n + 1))
 
 
 def test_treedepth_decomposition_valid():
@@ -96,42 +117,7 @@ def test_treedepth_decomposition_valid():
     for _ in range(20):
         n = rng.randint(1, 7)
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
-        td = treedepth_decomposition(g)
-        td.validate(g)
-        assert td.height == brute_force_treedepth(g)
-
-
-def test_treedepth_validate_rejects_parent_map_off_the_vertices():
-    g = path(3)
-    for parent in ({0: None, 1: 0}, {0: None, 1: 0, 2: 1, 3: 2}):
-        with pytest.raises(ValidationError):
-            TreedepthDecomposition(parent).validate(g)
-
-
-def test_treedepth_validate_rejects_parent_outside_the_vertices():
-    with pytest.raises(ValidationError, match="not a vertex"):
-        TreedepthDecomposition({0: None, 1: 7}).validate(path(2))
-
-
-def test_treedepth_children_rejects_parent_outside_the_vertices():
-    with pytest.raises(ValidationError, match="not a vertex"):
-        TreedepthDecomposition({0: None, 1: 7}).children()
-
-
-def test_treedepth_cyclic_parent_map_is_rejected_not_walked_forever():
-    for parent in ({0: 1, 1: 0}, {0: 1, 1: 2, 2: 1}):
-        td = TreedepthDecomposition(parent)
-        # the ancestor walk stops on the cycle, so these return
-        assert td.height <= len(parent) + 1
-        assert all(td.depth(v) <= len(parent) + 1 for v in parent)
-        with pytest.raises(ValidationError, match="cycle"):
-            td.validate(Graph(len(parent), [(0, 1)]))
-
-
-def test_treedepth_validate_rejects_edge_outside_the_closure():
-    # edge (0, 1) joins two roots, so neither endpoint is the other's ancestor
-    with pytest.raises(ValidationError, match="forest closure"):
-        TreedepthDecomposition({0: None, 1: None, 2: 1}).validate(path(3))
+        assert forest_height(g, treedepth_decomposition(g)) == brute_force_treedepth(g)
 
 
 def test_treedepth_limit():
@@ -141,26 +127,26 @@ def test_treedepth_limit():
 
 def test_component_signature_star_legs_equal():
     g = star(4)
-    r = frozenset({0})
-    sigs = {_signature(g, r, frozenset({v})) for v in range(1, 5)}
+    r = 0b1  # {0}
+    sigs = {_signature(g, r, 1 << v) for v in range(1, 5)}
     assert len(sigs) == 1
 
 
 def test_component_signature_p2_legs():
     # two pendant 2-paths hanging off vertex 0 the same way
     g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
-    r = frozenset({0})
-    s1 = _signature(g, r, frozenset({1, 2}))
-    s2 = _signature(g, r, frozenset({3, 4}))
+    r = 0b1  # {0}
+    s1 = _signature(g, r, 0b110)  # {1, 2}
+    s2 = _signature(g, r, 0b11000)  # {3, 4}
     assert s1 == s2
 
 
 def test_component_signature_gamma_matters():
     # same component graph (single vertex), different attachment
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
-    r = frozenset({0, 1})
-    s2 = _signature(g, r, frozenset({2}))  # attaches to 0
-    s3 = _signature(g, r, frozenset({3}))  # attaches to 1
+    r = 0b11  # {0, 1}
+    s2 = _signature(g, r, 1 << 2)  # attaches to 0
+    s3 = _signature(g, r, 1 << 3)  # attaches to 1
     assert s2 != s3
 
 
@@ -297,9 +283,10 @@ def reference_treedepth_parent(g):
     return solve(frozenset(range(g.n)))[1]
 
 
-def reference_prune(g, parent):
+def reference_prune(g, parent, threshold=None):
     """Reference prune over a parent map: deepest nodes first, sibling
-    subtrees grouped by signature, the surrogate number kept per class."""
+    subtrees grouped by signature, the surrogate number kept per class, or
+    ``threshold`` when it is given."""
     def ancestors(v):
         out = []
         while parent[v] is not None:
@@ -319,10 +306,13 @@ def reference_prune(g, parent):
         for c in kids[node]:
             if c in alive:
                 sub = below[c] & alive
-                classes.setdefault(_signature(g, attach, sub), []).append(sub)
+                classes.setdefault(_signature(g, mask_of(attach), mask_of(sub)),
+                                   []).append(sub)
         for members in classes.values():
             members.sort(key=min)
-            for extra in members[surrogate_threshold(depth[node], len(members[0])):]:
+            bound = (threshold if threshold is not None
+                     else surrogate_threshold(depth[node], len(members[0])))
+            for extra in members[bound:]:
                 removed.append(extra)
                 alive -= extra
     return induced_subgraph(g, alive)[0], removed
@@ -339,16 +329,9 @@ def _prune_gadgets():
             for shape, param in workloads.PRUNE_SLOTS]
 
 
-def test_treedepth_and_prune_match_reference(monkeypatch):
-    # the prune's own decomposition is the one compared, so each input is
-    # solved once
-    solved = []
-
-    def recorded(g):
-        solved.append(treedepth_decomposition(g))
-        return solved[-1]
-
-    monkeypatch.setattr(fbranch.treedepth, "treedepth_decomposition", recorded)
+def _reference_inputs():
+    """Every graph class with at most 6 vertices, 40 seeded G(8-12, p) and
+    the benchmark's prune gadgets."""
     rng = random.Random(41)
     seeded = []
     for _ in range(40):
@@ -356,12 +339,59 @@ def test_treedepth_and_prune_match_reference(monkeypatch):
         p = rng.choice((0.2, 0.3, 0.4))
         seeded.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
                                 if rng.random() < p]))
-    graphs = [g for n in range(7) for g in all_graph_classes(n)]
-    for g in graphs + seeded + _prune_gadgets():
+    return [g for n in range(7) for g in all_graph_classes(n)] + seeded + _prune_gadgets()
+
+
+def test_treedepth_and_prune_match_reference(monkeypatch):
+    # the prune's own decomposition is the one compared, and checked
+    solved = []
+
+    def recorded(g):
+        solved.append(treedepth_decomposition(g))
+        forest_attachments(g, solved[-1])
+        return solved[-1]
+
+    monkeypatch.setattr(fbranch.treedepth, "treedepth_decomposition", recorded)
+    for g in _reference_inputs():
         parent = reference_treedepth_parent(g)
-        out, record = prune_by_treedepth(g)
-        assert solved[-1].parent == parent
-        assert (out, record.removed) == reference_prune(g, parent)
+        for threshold in (None, 1, 2, 3):
+            out, record = prune_by_treedepth(g, threshold)
+            assert solved[-1] == parent
+            assert (out, record.removed) == reference_prune(g, parent, threshold)
+
+
+def test_sibling_signatures_match_colored_isomorphism():
+    # reference_prune groups by the package's own _signature, so the
+    # signature is checked here against networkx: two sibling subtrees of a
+    # solver forest get one signature exactly when an isomorphism between
+    # them keeps every vertex's neighbours in the attachment set
+    nx = pytest.importorskip("networkx")
+
+    def colored(g, attach, sub):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"color": g.adj[v] & attach}) for v in sub)
+        h.add_edges_from((u, v) for u in sub for v in g.adj[u] & sub)
+        return h
+
+    def same_color(a, b):
+        return a["color"] == b["color"]
+
+    seen = Counter()  # pairs by (colored isomorphism, plain isomorphism)
+    for g in _reference_inputs():
+        parent = treedepth_decomposition(g)
+        attach = forest_attachments(g, parent)
+        below = {v: frozenset(u for u in parent if v in attach[u]) for v in parent}
+        for node in parent:
+            subs = [below[c] for c in sorted(parent) if parent[c] == node]
+            sigs = [_signature(g, mask_of(attach[node]), mask_of(sub)) for sub in subs]
+            graphs = [colored(g, attach[node], sub) for sub in subs]
+            for i, j in itertools.combinations(range(len(subs)), 2):
+                iso = nx.is_isomorphic(graphs[i], graphs[j], node_match=same_color)
+                assert (sigs[i] == sigs[j]) == iso, (g.edges(), node, subs[i], subs[j])
+                seen[iso, nx.is_isomorphic(graphs[i], graphs[j])] += 1
+    # each case occurs: equal signatures, subtrees told apart by their
+    # colors alone, and subtrees of different shapes
+    assert min(seen[True, True], seen[False, True], seen[False, False]) >= 100
 
 
 def test_treedepth_matches_reference_on_capped_searches():
@@ -382,6 +412,6 @@ def test_treedepth_matches_reference_on_capped_searches():
         graphs.append(Graph(12, [e for e in itertools.combinations(range(12), 2)
                                  if rng.random() < p]))
     for g in graphs:
-        td = treedepth_decomposition(g)
-        td.validate(g)
-        assert td.parent == reference_treedepth_parent(g)
+        parent = treedepth_decomposition(g)
+        forest_attachments(g, parent)
+        assert parent == reference_treedepth_parent(g)
