@@ -13,10 +13,14 @@ extends in ascending vertex order, so the returned witness is reproducible.
 A search may be capped: it stops as soon as its best pattern has ``cap``
 pairs.  A capped result below the cap is exact, and its witness is the
 uncapped one (the search never stopped, so it took the same path); a result
-at the cap is only a lower bound.  The solvers ask only whether a cut is
-below their incumbent width, so they pass the incumbent as the cap of
-``CutEvaluator.value_of_mask``, the one cut-value query; its cache keeps
-a value with its witness when it is exact and a lower bound otherwise.
+at the cap is only a lower bound, and its witness is the pattern that
+reached the cap.  That pattern is a certificate beyond its own cut: it
+depends only on the edges between its 2q vertices, so it lies across every
+cut that puts its x-vertices on one side and its y-vertices on the other.
+The solvers ask only whether a cut is below their incumbent width, so they
+pass the incumbent as the cap of ``CutEvaluator.value_of_mask``, the one
+cut-value query, and the subset DP spreads each pattern it gets back over
+the cuts it crosses.  The evaluator's cache marks which entries are exact.
 A query runs no Python-level hash and builds no list: the selector keeps
 its families in ``FAMILY_ORDER`` once, ``Family`` hashes by identity, and
 the evaluator builds the complemented neighbour masks once per graph,
@@ -380,11 +384,12 @@ def generic_pattern_value(b: BipartiteCutGraph, family: Family) -> int:
 class CutEvaluator:
     """Memoizing cut evaluator for one graph.
 
-    Pattern values are cached in one dict per family keyed by the smaller
-    side mask of the cut (the cut function is symmetric), so selectors
-    share the per-family work.  An entry is ``(value, witness)`` when exact,
-    or ``(lower bound, None)`` when a capped search reached its cap; a
-    larger cap searches again.  Twin-class values are computed, not cached.
+    Pattern values are cached per family keyed by the smaller side mask of
+    the cut (the cut function is symmetric), so selectors share the
+    per-family work.  An entry is ``(value, witness)``: exact entries go in
+    one dict, and the ``(lower bound, pattern at the cap)`` of a capped
+    search in another, which a larger cap searches again.  Twin-class
+    values are computed, not cached.
     The complemented neighbour masks are built once, here, and every cut
     graph of a miss carries them, so ``complement`` builds no list.
     """
@@ -393,37 +398,41 @@ class CutEvaluator:
         self._full = (1 << g.n) - 1
         self._adj = _adjacency_masks(g)
         self._comp = [~m for m in self._adj]
-        self._values: dict[Family, dict[int, tuple[int, PatternWitness | None]]] = {
+        self._values: dict[Family, dict[int, tuple[int, PatternWitness]]] = {
+            family: {} for family in FAMILY_ORDER}
+        self._bounds: dict[Family, dict[int, tuple[int, PatternWitness]]] = {
             family: {} for family in FAMILY_ORDER}
 
     def family_value_of_mask(self, mask: int, family: Family, cap: float = math.inf
-                             ) -> tuple[int, PatternWitness | None]:
+                             ) -> tuple[int, PatternWitness]:
         """The family's value across the cut with its witness when it is
-        below ``cap``, otherwise ``(lower bound >= cap, None)``."""
+        below ``cap``, otherwise a lower bound >= cap with the pattern that
+        reached it."""
         rest = self._full ^ mask
         if rest < mask:
             mask, rest = rest, mask
-        values = self._values[family]
-        hit = values.get(mask)
-        if hit is None or hit[1] is None and hit[0] < cap:
-            value, witness = family_value(
-                BipartiteCutGraph(mask, rest, self._adj, self._comp), family, cap)
-            hit = values[mask] = (value, witness if value < cap else None)
+        hit = self._values[family].get(mask)
+        if hit is None:
+            hit = self._bounds[family].get(mask)
+            if hit is None or hit[0] < cap:
+                hit = family_value(
+                    BipartiteCutGraph(mask, rest, self._adj, self._comp), family, cap)
+                (self._values if hit[0] < cap else self._bounds)[family][mask] = hit
         return hit
 
     def value_of_mask(self, mask: int, sel: FamilySelector, cap: float = math.inf
-                      ) -> tuple[int, PatternWitness | None]:
+                      ) -> tuple[int, PatternWitness]:
         """f(mask) with the witness of its first largest family when it is
-        below ``cap``; otherwise ``(value >= cap, None)`` from the first
-        family that reaches the cap, which ends the query.  ntc values take
-        no cap: they are always exact."""
+        below ``cap``; otherwise a value >= cap with the pattern of the
+        first family that reaches the cap, which ends the query.  ntc values
+        take no cap: they are always exact."""
         if sel.ntc:
             return _ntc_cut_value(self._adj, mask, self._full ^ mask), EMPTY_WITNESS
         best = (0, EMPTY_WITNESS)
         for family in sel.ordered:
             hit = self.family_value_of_mask(mask, family, cap)
             if hit[0] >= cap:
-                return hit[0], None
+                return hit
             if hit[0] > best[0]:
                 best = hit
         return best

@@ -12,9 +12,11 @@ skips only shapes that cannot beat its best so far, and a subset-split
 dynamic program, searched top down with branch and bound over one byte
 table of lower bounds on the cut values.  Twin-class values fill it at
 once; pattern-family values are evaluated lazily, each only as far as the
-incumbent width needs.  One split loop serves both and visits only the
-splits whose two bounds are below the incumbent; twin-class candidates
-come from a per-lowest-vertex list of the masks below the incumbent.
+incumbent width needs, and every pattern of two or more pairs that a
+search finds raises the bound of each cut it crosses.  One split loop
+serves both and visits only the splits whose two bounds are below the
+incumbent; twin-class candidates come from a per-lowest-vertex list of
+the masks below the incumbent.
 For primal unions the dynamic program runs per component, and the
 component law gives the width.  The two solvers agree by construction on
 any symmetric cut function and cross-check each other in the test suite.
@@ -314,13 +316,21 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     One table serves every selector: ``vals[m]`` is a lower bound on f(m),
     exact where ``exact[m]`` is set.  Twin-class values all come first,
     exact, from one bit-sliced fill (``cutfn.ntc_table``); pattern-family
-    values are evaluated lazily, capped at the incumbent.  One loop walks
-    the candidate sides S1 ascending, taken from the masks below the
-    incumbent whose lowest vertex is S's (twin classes), or from the
-    submasks of S holding its lowest vertex (pattern families).  The root
-    starts from the balanced-edge lower bound.  Every decision compares a
-    cut value with the incumbent, so the splits stay those of the full
-    table."""
+    values are evaluated lazily, capped at the incumbent.  A pattern that a
+    search returns, at the cap or exact, is a certificate: it depends only
+    on the edges between its own vertices, so it lies across every cut that
+    puts its x-vertices A on one side and its y-vertices B on the other, and
+    one with q >= 2 pairs raises the bounds of all those cuts to q (a
+    one-pair pattern would walk 2^(n - 2) masks for a bound of 1).  No such
+    pattern fits a singleton cut, so the singles and the balanced-edge
+    floor read what they did.  One loop walks the candidate sides S1
+    ascending, taken from the masks below the incumbent whose lowest vertex
+    is S's (twin classes), or from the submasks of S holding its lowest
+    vertex (pattern families).  The root starts from the balanced-edge
+    lower bound.  Every decision compares a cut value with the incumbent,
+    and a bound is only ever raised to a value the cut has, so a split
+    that a raised bound skips is one its own search would have put at or
+    above the incumbent: the splits stay those of the full table."""
     n = g.n
     full = (1 << n) - 1
     top = n + 1  # above every cut value, so every value and bound fits a byte
@@ -328,10 +338,23 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
 
     def resolve(m: int, cap: int) -> int:
         """f(m) if below cap, else a lower bound >= cap (one capped
-        ``value_of_mask``); stored on m and on its complement (f is symmetric)."""
-        value = vals[m] = vals[full ^ m] = value_of_mask(m, sel, cap)[0]
+        ``value_of_mask``); stored on m and on its complement (f is symmetric).
+        Its pattern then raises to q the masks A | t, t a submask of the
+        vertices outside the pattern, and their complements."""
+        value, witness = value_of_mask(m, sel, cap)
+        vals[m] = vals[full ^ m] = value
         if value < cap:
             exact[m] = exact[full ^ m] = 1
+        if value >= 2:
+            a = mask_of(x for x, _ in witness.pairs)
+            free = full ^ a ^ mask_of(y for _, y in witness.pairs)
+            t = free
+            while True:
+                if vals[a | t] < value:
+                    vals[a | t] = vals[full ^ a ^ t] = value
+                if not t:
+                    break
+                t = (t - 1) & free
         return value
 
     if sel.ntc:

@@ -513,7 +513,8 @@ def test_searches_return_the_reference_values_and_witnesses():
     # every cut of every graph, every family, caps 1-5 and uncapped: the
     # engine, with and without the evaluator's precomputed complement,
     # returns exactly the reference's (value, pairs); the evaluator keys a
-    # cut by its smaller side mask and keeps no witness at the cap
+    # cut by its smaller side mask and returns the search's pattern at the
+    # cap as well
     for g in _capped_graphs():
         adj = _adjacency_masks(g)
         full = (1 << g.n) - 1
@@ -531,10 +532,8 @@ def test_searches_return_the_reference_values_and_witnesses():
                             g, mask, family, cap)
                     ref = reference_family_value(small, family, cap)
                     value, witness = ev.family_value_of_mask(mask, family, cap)
-                    if ref[0] < cap:
-                        assert (value, witness.pairs) == (ref[0], ref[1].pairs)
-                    else:
-                        assert value == ref[0] and witness is None
+                    assert (value, witness.pairs) == (ref[0], ref[1].pairs), (
+                        g, mask, family, cap)
 
 
 def test_capped_family_value_is_exact_below_the_cap():
@@ -570,13 +569,15 @@ def test_value_below_bounds_then_exact_on_a_larger_cap():
                 first = ev.value_of_mask(mask, sel, 2)
                 if exact[0] < 2 or sel.ntc:  # below the cap: value and witness
                     assert first == exact
-                else:
-                    assert first[0] >= 2 and first[1] is None
+                else:  # at the cap: a pattern at least as large
+                    assert first[0] == first[1].value >= 2
+                    assert validate_witness(cut_graph(g, set_of(mask)), first[1])
                 # a pattern value is at most n / 2 < 6; ntc takes no cap
                 assert ev.value_of_mask(mask, sel, 6) == exact
         # per family: a capped lookup is the exact answer or, at the cap, a
-        # bare bound; a later uncapped lookup is the plain search's answer
-        # on the cut seen from its smaller side mask, the evaluator's key
+        # bound with the pattern that reached it; a later uncapped lookup is
+        # the plain search's answer on the cut seen from its smaller side
+        # mask, the evaluator's key
         ev = CutEvaluator(g)
         for mask in range(1 << g.n):
             b = cut_graph(g, set_of(min(mask, (1 << g.n) - 1 ^ mask)))
@@ -584,8 +585,40 @@ def test_value_below_bounds_then_exact_on_a_larger_cap():
                 exact = family_value(b, family)
                 value, witness = ev.family_value_of_mask(mask, family, 2)
                 assert ((value, witness) == exact
-                        or exact[0] >= 2 and value >= 2 and witness is None)
+                        or exact[0] >= 2 and value == witness.value == 2
+                        and witness.family is family and validate_witness(b, witness))
                 assert ev.family_value_of_mask(mask, family) == exact
+
+
+def test_a_capped_pattern_lies_across_every_cut_that_separates_its_sides():
+    # the subset DP raises the bound of every cut a found pattern crosses:
+    # a capped result's witness has exactly ``value`` pairs, and it is a
+    # pattern of its family on every cut with its x-vertices on one side
+    # and its y-vertices on the other, whatever side the rest lie on
+    for g in _capped_graphs():
+        full = (1 << g.n) - 1
+        witnesses = set()
+        for cap in range(1, 6):
+            ev = CutEvaluator(g)
+            for mask in range(full + 1):
+                for sel in _selectors()[:-1]:  # ntc takes no cap
+                    value, witness = ev.value_of_mask(mask, sel, cap)
+                    if value >= cap:
+                        assert witness.value == len(witness.pairs) == value
+                        witnesses.add(witness)
+                for family in FAMILY_ORDER:
+                    value, witness = ev.family_value_of_mask(mask, family, cap)
+                    if value >= cap:
+                        assert witness.value == len(witness.pairs) == value
+                        witnesses.add(witness)
+        assert witnesses
+        for witness in witnesses:
+            a = mask_of(x for x, _ in witness.pairs)
+            free = full ^ a ^ mask_of(y for _, y in witness.pairs)
+            for t in range(free + 1):
+                if t & free == t:
+                    assert validate_witness(cut_graph(g, set_of(a | t)), witness), (
+                        g, witness, a | t)
 
 
 def test_width_through_a_capped_evaluator_matches_a_fresh_one():

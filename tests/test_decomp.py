@@ -635,6 +635,104 @@ def test_ntc_dp_matches_whole_table_split_search(monkeypatch):
         assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), g
 
 
+def _uncertified_dp_splits(g, sel, evaluator):
+    """Reference pattern-family split search: the same top-down branch and
+    bound with lazily capped cut values, where a search's result bounds
+    only its own cut and its complement; the patterns it finds are dropped."""
+    n = g.n
+    full = (1 << n) - 1
+    top = n + 1
+
+    def resolve(m, cap):
+        value = vals[m] = vals[full ^ m] = evaluator.value_of_mask(m, sel, cap)[0]
+        if value < cap:
+            exact[m] = exact[full ^ m] = 1
+        return value
+
+    vals = bytearray(full + 1)
+    exact = bytearray(full + 1)
+    for v in range(n):
+        resolve(1 << v, top)
+    split = array("I", [0]) * (full + 1)
+    low = bytearray(full + 1)
+    singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
+
+    def submasks(s, after):
+        bit = s & -s
+        rest = s ^ bit
+        t = ((after ^ bit) - rest) & rest if after else 0
+        while t != rest:
+            yield bit | t
+            t = (t - rest) & rest
+
+    def solve(s, bound):
+        lo = low[s]
+        if split[s]:
+            return lo
+        if not lo:
+            lo = low[s] = vals[next(filter(s.__and__, singles))]
+        if lo >= bound:
+            return lo
+        inc = bound
+        s1 = 0
+        while inc > lo:
+            for s1 in submasks(s, s1):
+                s2 = s ^ s1
+                if vals[s1] < inc and vals[s2] < inc:
+                    val = vals[s1] if exact[s1] else resolve(s1, inc)
+                    if val < inc:
+                        val = max(val, vals[s2] if exact[s2] else resolve(s2, inc))
+                    if val < inc and s1 & (s1 - 1):
+                        val = max(val, solve(s1, inc))
+                    if val < inc and s2 & (s2 - 1):
+                        val = max(val, solve(s2, inc))
+                    if val < inc:
+                        inc = val
+                        split[s] = s1
+                        break
+            else:
+                break
+        low[s] = inc
+        return inc
+
+    if n <= 1:
+        return 0, split
+    for floor in range(top):
+        m = vals.find(floor)
+        while m >= 0 and not n <= 3 * m.bit_count() <= 2 * n:
+            m = vals.find(floor, m + 1)
+        if m >= 0:
+            break
+    low[full] = max(vals[singles[0]], floor)
+    return solve(full, top), split
+
+
+def test_pattern_certificates_leave_the_dp_splits_as_they_were(monkeypatch):
+    # raising the bound of every cut a found pattern crosses skips only
+    # splits the search would have rejected: the width and every entry of
+    # the split table are those of the search that drops the patterns, on
+    # connected G(n, p) at n 9-13 under the benchmark's four selectors and
+    # each single family
+    rng = random.Random(29)
+    selectors = [FamilySelector.parse(text) for text in
+                 ("match", "primal", "all", "chain,chainstrict")]
+    selectors += [FamilySelector.of(f) for f in Family]
+    for i, (sel, n) in enumerate(itertools.product(selectors, range(9, 14))):
+        g = _connected_graphs(rng, n, (0.2, 0.3, 0.4, 0.6)[i % 4], 1)[0]
+        width, split = decomp._dp_splits(g, sel, CutEvaluator(g))
+        assert (width, split) == _uncertified_dp_splits(g, sel, CutEvaluator(g)), \
+            (g, sel.name())
+    # and the trees the component law composes on disconnected primal unions
+    cases = [(_random_disconnected(rng, rng.randint(6, 12)), sel)
+             for _ in range(6) for sel in PRIMAL_UNIONS]
+    got = [exact_branchwidth_dp(g, sel) for g, sel in cases]
+    monkeypatch.setattr(decomp, "_dp_splits", _uncertified_dp_splits)
+    expected = [exact_branchwidth_dp(g, sel) for g, sel in cases]
+    for (g, sel), (w, bd), (w_old, bd_old) in zip(cases, got, expected):
+        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), \
+            (g, sel.name())
+
+
 def _uncapped_balanced_split(ev, sel, mask):
     """Reference greedy split: the same swap search with every candidate
     cut evaluated exactly."""
