@@ -48,15 +48,15 @@ def _read(path: str) -> str:
 
 
 def _json(obj, indent: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for
-    str-keyed dicts and lists, without the stdlib's pure-Python encoder
-    (its C encoder has no indent)."""
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True, default=str)``
+    for str-keyed dicts, lists and tuples, without the stdlib's pure-Python
+    encoder (its C encoder has no indent).  The CLI's one JSON writer."""
     if obj and isinstance(obj, dict):
         inner = indent + "  "
         return "{" + inner + ("," + inner).join(
             encode_basestring_ascii(k) + ": " + _json(v, inner)
             for k, v in sorted(obj.items())) + indent + "}"
-    if obj and isinstance(obj, list):
+    if obj and isinstance(obj, (list, tuple)):
         inner = indent + "  "
         if all(type(x) is int for x in obj):
             return "[" + inner + ("," + inner).join(map(str, obj)) + indent + "]"
@@ -66,7 +66,7 @@ def _json(obj, indent: str = "\n") -> str:
         return str(obj)
     if type(obj) is str:
         return encode_basestring_ascii(obj)
-    return json.dumps(obj)
+    return json.dumps(obj, default=str)
 
 
 def _emit(doc: dict, text: str, fmt: str, out: str | None) -> None:
@@ -137,13 +137,12 @@ def cmd_kernelize(args) -> int:
 
 def cmd_prune(args) -> int:
     g = parse_graph(_read(args.infile))
-    pruned, record = prune_by_treedepth(g, threshold=args.threshold)
+    pruned, removed = prune_by_treedepth(g, threshold=args.threshold)
     if args.out:
         Path(args.out).write_text(graph_to_text(pruned))
     sys.stdout.write(
         f"{g.n} vertices -> {pruned.n} "
-        f"({record.removed_count()} vertices pruned in "
-        f"{len(record.removed)} subtrees)\n")
+        f"({sum(map(len, removed))} vertices pruned in {len(removed)} subtrees)\n")
     return 0
 
 
@@ -190,9 +189,8 @@ def cmd_verify_lemmas(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for r in failures:
             path = out_dir / f"counterexample-{r.name}.json"
-            path.write_text(json.dumps(
-                {"schema": SCHEMA, "suite": r.name, "violations": r.violations},
-                indent=2, sort_keys=True, default=str) + "\n")
+            path.write_text(_json(
+                {"schema": SCHEMA, "suite": r.name, "violations": r.violations}) + "\n")
             sys.stdout.write(f"counterexamples written to {path}\n")
         return 1
     return 0

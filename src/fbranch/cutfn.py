@@ -11,10 +11,11 @@ ANTIMATCH = MATCH, CHAINSTRICT = CHAIN of the complement).  Every search
 extends in ascending vertex order, so the returned witness is reproducible.
 
 A search may be capped: it stops as soon as its best pattern has ``cap``
-pairs.  A capped result below the cap is exact, and its witness is the
-uncapped one (the search never stopped, so it took the same path); a result
-at the cap is only a lower bound, and its witness is the pattern that
-reached the cap.  That pattern is a certificate beyond its own cut: it
+pairs, by raising that pattern, and ``family_value`` alone catches it.  A
+capped result below the cap is exact, and its witness is the uncapped one
+(the search never stopped, so it took the same path); a result at the cap
+is only a lower bound, and its witness is the pattern that reached the
+cap.  That pattern is a certificate beyond its own cut: it
 depends only on the edges between its 2q vertices, so it lies across every
 cut that puts its x-vertices on one side and its y-vertices on the other.
 The solvers ask only whether a cut is below their incumbent width, so they
@@ -23,8 +24,8 @@ cut-value query, and the subset DP spreads each pattern it gets back over
 the cuts it crosses.  The evaluator's cache marks which entries are exact.
 A query runs no Python-level hash and builds no list: the selector keeps
 its families in ``FAMILY_ORDER`` once, ``Family`` hashes by identity, and
-the evaluator builds the complemented neighbour masks once per graph,
-which the cut graphs of its misses carry.
+every cut graph carries the complemented neighbour masks, which the
+evaluator builds once per graph.
 
 The twin-class count needs no search.  ``ntc_table`` fills the value of
 every mask at once, bit-sliced (each mask is one bit of 2^n-bit integers),
@@ -113,14 +114,14 @@ class PatternWitness:
 EMPTY_WITNESS = PatternWitness(None, 0)
 
 
-# The three searches return the best partner pairs (x, y) in pattern order;
-# each stops, by raising _Capped, once its best pattern has ``cap`` pairs.
-# ``size`` is the length of ``best`` and ``depth`` that of the partial
-# pattern, both kept as ints.
+# The three searches return the best partner pairs (x, y) in pattern order,
+# or raise _Capped with them as soon as they have ``cap`` pairs; none of
+# them catches it, ``family_value`` does.  ``size`` is the length of
+# ``best`` and ``depth`` that of the partial pattern, both kept as ints.
 
 
 class _Capped(Exception):
-    pass
+    """The pairs of the pattern that reached the cap, in ``args[0]``."""
 
 
 def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
@@ -141,7 +142,7 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
         if depth > size:
             best, size = tuple(pairs), depth
             if depth >= cap:
-                raise _Capped
+                raise _Capped(best)
         count_y = cand_y.bit_count()
         while cand_x and count_y > size - depth and cand_x.bit_count() > size - depth:
             bit = cand_x & -cand_x
@@ -162,10 +163,7 @@ def _matching(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
                 extend(cand_x & ~nbr[y], rest_y, depth + 1)
                 pairs.pop()
 
-    try:
-        extend(b.x_mask, b.y_mask, 0)
-    except _Capped:
-        pass
+    extend(b.x_mask, b.y_mask, 0)
     return best
 
 
@@ -185,7 +183,7 @@ def _biclique(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
             ys = (bit.bit_length() - 1 for bit in _iter_bits(common))
             best, size = tuple(zip(chosen, ys)), value
             if value >= cap:
-                raise _Capped
+                raise _Capped(best)
         while cand_x and count > size and depth + cand_x.bit_count() > size:
             bit = cand_x & -cand_x
             cand_x ^= bit
@@ -196,10 +194,7 @@ def _biclique(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
                 extend(cand_x, nxt, depth + 1)
                 chosen.pop()
 
-    try:
-        extend(b.x_mask, b.y_mask, 0)
-    except _Capped:
-        pass
+    extend(b.x_mask, b.y_mask, 0)
     return best
 
 
@@ -218,7 +213,7 @@ def _chain(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
         if depth > size:
             best, size = tuple(pairs), depth
             if depth >= cap:
-                raise _Capped
+                raise _Capped(best)
         count_x, count_y = cand_x.bit_count(), cand_y.bit_count()
         room = depth + (count_x if count_x < count_y else count_y)
         xs = cand_x
@@ -235,10 +230,7 @@ def _chain(b: BipartiteCutGraph, cap: float) -> tuple[tuple[int, int], ...]:
                 extend((cand_x ^ bit) & ~nbr[y], (cand_y ^ y_bit) & nbr[x], depth + 1)
                 pairs.pop()
 
-    try:
-        extend(b.x_mask, b.y_mask, 0)
-    except _Capped:
-        pass
+    extend(b.x_mask, b.y_mask, 0)
     return best
 
 
@@ -259,9 +251,14 @@ def family_value(b: BipartiteCutGraph, family: Family, cap: float = math.inf
                  ) -> tuple[int, PatternWitness]:
     """Largest pattern of ``family`` across the cut, with its witness; a
     value at or above ``cap`` is only a lower bound (see the module
-    docstring)."""
+    docstring).  The one place that catches a search's ``_Capped``."""
     search, complemented = _SEARCHES[family]
-    pairs = search(b.complement(), cap)[::-1] if complemented else search(b, cap)
+    try:
+        pairs = search(b.complement() if complemented else b, cap)
+    except _Capped as capped:
+        pairs = capped.args[0]
+    if complemented:
+        pairs = pairs[::-1]
     if not pairs:
         return 0, EMPTY_WITNESS
     return len(pairs), PatternWitness(family, len(pairs), pairs)

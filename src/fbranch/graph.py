@@ -165,14 +165,14 @@ class BipartiteCutGraph:
     (for a cut of a graph, the graph's own).  Only the bits of ``nbr[v]`` on
     the other side of the cut count: every search ANDs ``nbr[x]`` with
     candidates inside the other side, and ``~nbr[x]`` serves the bipartite
-    complement.  ``comp``, when given, is ``[~m for m in nbr]``, built once
-    per graph so that ``complement`` allocates nothing.  Swapping the two
-    side masks gives the same cut seen from Y."""
+    complement.  ``comp`` is ``[~m for m in nbr]``, built once per graph
+    by the caller, so that ``complement`` only swaps the two lists.
+    Swapping the two side masks gives the same cut seen from Y."""
 
     __slots__ = ("x_mask", "y_mask", "nbr", "comp")
 
     def __init__(self, x_mask: int, y_mask: int, nbr: Sequence[int],
-                 comp: Sequence[int] | None = None):
+                 comp: Sequence[int]):
         self.x_mask = x_mask
         self.y_mask = y_mask
         self.nbr = nbr
@@ -186,29 +186,25 @@ class BipartiteCutGraph:
     def y_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(set_of(self.y_mask)))
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((x, y) for x in self.x_vertices
-                         for y in set_of(self.nbr[x] & self.y_mask))
-
     def has_edge(self, x: int, y: int) -> bool:
         """Defined only for x and y on opposite sides of the cut."""
         return bool(self.nbr[x] >> y & 1)
 
     def complement(self) -> "BipartiteCutGraph":
         """Bipartite complement: crossing pairs become edges iff absent here."""
-        comp = [~m for m in self.nbr] if self.comp is None else self.comp
-        return BipartiteCutGraph(self.x_mask, self.y_mask, comp, self.nbr)
+        return BipartiteCutGraph(self.x_mask, self.y_mask, self.comp, self.nbr)
 
     def __repr__(self) -> str:
+        m = sum((self.nbr[x] & self.y_mask).bit_count() for x in set_of(self.x_mask))
         return (f"BipartiteCutGraph(|X|={self.x_mask.bit_count()}, "
-                f"|Y|={self.y_mask.bit_count()}, m={len(self.edges)})")
+                f"|Y|={self.y_mask.bit_count()}, m={m})")
 
 
 def cut_graph(g: Graph, side_x: Iterable[int]) -> BipartiteCutGraph:
     """Bipartite graph of edges crossing the cut (X, V - X)."""
     x = mask_of(side_x)
-    return BipartiteCutGraph(x, ((1 << g.n) - 1) ^ x, _adjacency_masks(g))
+    nbr = _adjacency_masks(g)
+    return BipartiteCutGraph(x, ((1 << g.n) - 1) ^ x, nbr, [~m for m in nbr])
 
 
 TREEWIDTH_MAX_N = 15

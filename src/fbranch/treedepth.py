@@ -19,7 +19,6 @@ empirically, width before versus width after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .canonical import canonical_form
@@ -121,14 +120,6 @@ def _signature(g: Graph, attach: int, comp: int) -> tuple:
     return canonical_form(sub, [mask_of(g.adj[v]) & attach for v in remap])
 
 
-@dataclass
-class PruneRecord:
-    removed: list[frozenset[int]]
-
-    def removed_count(self) -> int:
-        return sum(len(c) for c in self.removed)
-
-
 # ---------------------------------------------------------------------------
 # bound calculators (exact big-integer arithmetic)
 
@@ -184,10 +175,11 @@ def surrogate_threshold(t: int, p: int) -> int:
 
 
 def prune_by_treedepth(g: Graph, threshold: int | None = None
-                       ) -> tuple[Graph, PruneRecord]:
+                       ) -> tuple[Graph, list[frozenset[int]]]:
     """Walk the ranks of an exact treedepth decomposition bottom-to-top; at
     each node group the child subtrees by attachment-colored signature and
-    keep at most the class threshold.
+    keep at most the class threshold.  Returns the pruned graph and the
+    vertex sets of the removed subtrees, in the order they were removed.
 
     ``threshold`` fixes one global class bound; otherwise each class uses
     the surrogate, never the provable g bound, which at n <= 12 exceeds
@@ -230,4 +222,4 @@ def prune_by_treedepth(g: Graph, threshold: int | None = None
                 removed.append(set_of(extra))
                 alive &= ~extra
     out, _ = induced_subgraph(g, set_of(alive))
-    return out, PruneRecord(removed=removed)
+    return out, removed

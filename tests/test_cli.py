@@ -171,6 +171,8 @@ def test_verify_lemmas_detects_injected_fault(capsys, tmp_path, monkeypatch):
     assert "[FAIL]" in out
     dumps = list((tmp_path / "counterexamples").glob("*.json"))
     assert dumps and json.loads(dumps[0].read_text())["violations"]
+    text = dumps[0].read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -547,6 +549,14 @@ JSON_DOCS = st.recursive(
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(JSON_DOCS)
 def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_writes_tuples_as_lists():
+    # counterexample dumps carry tuples (a classification violation's
+    # sorted edge list) and may hold empty containers
+    doc = {"edges": [(0, 1), (1, 0)], "pair": (2, "a", (3,)), "empty": [(), [], {}],
+           "nested": {"t": ((),), "d": {}}}
     assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 

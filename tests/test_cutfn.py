@@ -12,6 +12,8 @@ from fbranch.cutfn import (
     CutEvaluator,
     FamilySelector,
     PatternWitness,
+    _SEARCHES,
+    _Capped as EngineCapped,
     _ntc_cut_value,
     family_value,
     generic_pattern_value,
@@ -200,7 +202,7 @@ _REFERENCE_SEARCHES = {
 def reference_family_value(b, family, cap=math.inf):
     search, complemented = _REFERENCE_SEARCHES[family]
     if complemented:
-        comp = BipartiteCutGraph(b.x_mask, b.y_mask, [~m for m in b.nbr])
+        comp = BipartiteCutGraph(b.x_mask, b.y_mask, [~m for m in b.nbr], b.nbr)
         pairs = search(comp, cap)[::-1]
     else:
         pairs = search(b, cap)
@@ -258,7 +260,8 @@ def test_matching_search_on_a_complete_cut_is_linear():
     a, b = 10, 200
     x_mask, y_mask = (1 << a) - 1, ((1 << b) - 1) << a
     nbr = _CountingList([y_mask] * a + [x_mask] * b)
-    value, witness = family_value(BipartiteCutGraph(x_mask, y_mask, nbr), Family.MATCH)
+    b = BipartiteCutGraph(x_mask, y_mask, nbr, [~m for m in nbr])
+    value, witness = family_value(b, Family.MATCH)
     assert value == 1 and witness.pairs == ((0, a),)
     assert nbr.reads <= a + 2
 
@@ -511,25 +514,21 @@ def _capped_graphs():
 
 def test_searches_return_the_reference_values_and_witnesses():
     # every cut of every graph, every family, caps 1-5 and uncapped: the
-    # engine, with and without the evaluator's precomputed complement,
-    # returns exactly the reference's (value, pairs); the evaluator keys a
-    # cut by its smaller side mask and returns the search's pattern at the
-    # cap as well
+    # engine returns exactly the reference's (value, pairs); the evaluator
+    # keys a cut by its smaller side mask and returns the search's pattern
+    # at the cap as well
     for g in _capped_graphs():
-        adj = _adjacency_masks(g)
         full = (1 << g.n) - 1
         for cap in (1, 2, 3, 4, 5, math.inf):
             ev = CutEvaluator(g)
             for mask in range(full + 1):
-                plain = cut_graph(g, set_of(mask))
-                carried = BipartiteCutGraph(mask, full ^ mask, adj, [~m for m in adj])
+                b = cut_graph(g, set_of(mask))
                 small = cut_graph(g, set_of(min(mask, full ^ mask)))
                 for family in FAMILY_ORDER:
-                    ref = reference_family_value(plain, family, cap)
-                    for b in (plain, carried):
-                        value, witness = family_value(b, family, cap)
-                        assert (value, witness.pairs) == (ref[0], ref[1].pairs), (
-                            g, mask, family, cap)
+                    ref = reference_family_value(b, family, cap)
+                    value, witness = family_value(b, family, cap)
+                    assert (value, witness.pairs) == (ref[0], ref[1].pairs), (
+                        g, mask, family, cap)
                     ref = reference_family_value(small, family, cap)
                     value, witness = ev.family_value_of_mask(mask, family, cap)
                     assert (value, witness.pairs) == (ref[0], ref[1].pairs), (
@@ -537,8 +536,8 @@ def test_searches_return_the_reference_values_and_witnesses():
 
 
 def test_capped_family_value_is_exact_below_the_cap():
-    # below the cap: the uncapped value and witness; at or above: a lower
-    # bound whose witness is still a pattern of the family
+    # below the cap: the uncapped value and witness; at or above: the cap
+    # itself, as a lower bound whose witness is still a pattern of the family
     for g in _capped_graphs():
         for mask in range(1 << g.n):
             b = cut_graph(g, set_of(mask))
@@ -550,8 +549,32 @@ def test_capped_family_value_is_exact_below_the_cap():
                     if exact[0] < cap:
                         assert (value, witness) == exact, (g, mask, family, cap)
                     else:
-                        assert value >= cap and witness.value == value
+                        assert value == cap and witness.value == value
                         assert validate_witness(b, witness)
+
+
+def test_a_search_stops_at_the_cap_only_by_raising_its_pattern():
+    # each search, called directly (on the complement where the table says
+    # so), returns the reference's uncapped pairs when its value is below
+    # the cap, and otherwise raises _Capped with exactly ``cap`` pairs, the
+    # reference's capped pairs: family_value is left to catch it
+    for g in _capped_graphs():
+        for mask in range(1 << g.n):
+            b = cut_graph(g, set_of(mask))
+            for family in FAMILY_ORDER:
+                search, complemented = _SEARCHES[family]
+                ref_search, _ = _REFERENCE_SEARCHES[family]
+                cut = b.complement() if complemented else b
+                exact = ref_search(cut, math.inf)
+                for cap in range(1, 6):
+                    if len(exact) < cap:
+                        assert search(cut, cap) == exact, (g, mask, family, cap)
+                        continue
+                    with pytest.raises(EngineCapped) as capped:
+                        search(cut, cap)
+                    pairs = capped.value.args[0]
+                    assert len(pairs) == cap and pairs == ref_search(cut, cap), (
+                        g, mask, family, cap)
 
 
 def _selectors():

@@ -3,7 +3,8 @@ private, and every non-dunder method and property of its classes, is used
 by the package itself: a reference or helper that only the tests call
 lives in the tests.  The text-input grammar lives in one place, the reader
 in ``errors.py``: no other module splits text, and no document parser
-converts a token itself."""
+converts a token itself.  JSON output has one writer, ``cli._json``: no
+other code calls ``json.dumps``."""
 
 import ast
 from collections import Counter
@@ -60,6 +61,25 @@ def text_splitters(src: Path = SRC) -> list[str]:
 
 def test_only_the_reader_splits_text():
     assert text_splitters() == []
+
+
+def json_writers(src: Path = SRC) -> list[str]:
+    """``module:line`` of each call of ``json.dumps`` outside ``cli._json``,
+    the one JSON writer."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writer = [fn for fn in tree.body if path.name == "cli.py"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "_json"]
+        inside = {id(n) for fn in writer for n in ast.walk(fn)}
+        out += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "dumps"
+                and id(node) not in inside]
+    return out
+
+
+def test_only_the_cli_json_writer_calls_json_dumps():
+    assert json_writers() == []
 
 
 def document_parsers(src: Path = SRC) -> dict[str, list[int]]:

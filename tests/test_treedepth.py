@@ -152,9 +152,9 @@ def test_component_signature_gamma_matters():
 
 def test_prune_duplicates_star():
     g = star(5)
-    out, record = prune_by_treedepth(g, threshold=2)
+    out, removed = prune_by_treedepth(g, threshold=2)
     assert out == star(2)
-    assert record.removed_count() == 3
+    assert sum(map(len, removed)) == 3
 
 
 def test_prune_duplicates_width_preserved_forests():
@@ -168,8 +168,8 @@ def test_prune_duplicates_distinct_signatures_unchanged():
     # components of g - {0}: a pendant vertex, a pendant 2-path, a triangle
     # handle; all signatures differ, so threshold 1 removes nothing
     g = Graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 0)])
-    out, record = prune_by_treedepth(g, threshold=1)
-    assert record.removed_count() == 0 and out.n == 6
+    out, removed = prune_by_treedepth(g, threshold=1)
+    assert removed == [] and out.n == 6
 
 
 def test_bound_calculators_base_cases():
@@ -209,7 +209,7 @@ def test_bound_g_monotone_growth():
 
 def test_prune_by_treedepth_star():
     g = star(9)
-    out, record = prune_by_treedepth(g, threshold=2)
+    out, _ = prune_by_treedepth(g, threshold=2)
     assert out.n == 3
     for sel in PRIMAL_UNIONS:
         assert exact_branchwidth_dp(g, sel)[0] == exact_branchwidth_dp(out, sel)[0] == 1
@@ -217,7 +217,7 @@ def test_prune_by_treedepth_star():
 
 def test_prune_by_treedepth_spider():
     g = spider(5, 2)  # 11 vertices, five identical 2-paths off the center
-    out, record = prune_by_treedepth(g, threshold=3)
+    out, _ = prune_by_treedepth(g, threshold=3)
     assert out.n == 1 + 3 * 2
     for sel in PRIMAL_UNIONS:
         assert exact_branchwidth_dp(g, sel)[0] == exact_branchwidth_dp(out, sel)[0]
@@ -225,13 +225,13 @@ def test_prune_by_treedepth_spider():
 
 def test_prune_by_treedepth_all_distinct_unchanged():
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)])  # C7
-    out, record = prune_by_treedepth(g, threshold=1)
-    assert out.n == 7 and record.removed_count() == 0
+    out, removed = prune_by_treedepth(g, threshold=1)
+    assert out.n == 7 and removed == []
 
 
 def test_prune_by_treedepth_surrogate_default():
     g = star(9)
-    out, record = prune_by_treedepth(g)
+    out, _ = prune_by_treedepth(g)
     # surrogate for t = |{center, root path}| ... leaves attach to center:
     # t = 2 (leaf rank path has the center and root above it), p = 1
     assert out.n < g.n
@@ -355,9 +355,9 @@ def test_treedepth_and_prune_match_reference(monkeypatch):
     for g in _reference_inputs():
         parent = reference_treedepth_parent(g)
         for threshold in (None, 1, 2, 3):
-            out, record = prune_by_treedepth(g, threshold)
+            out, removed = prune_by_treedepth(g, threshold)
             assert solved[-1] == parent
-            assert (out, record.removed) == reference_prune(g, parent, threshold)
+            assert (out, removed) == reference_prune(g, parent, threshold)
 
 
 def test_sibling_signatures_match_colored_isomorphism():
