@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import SizeLimitError, comma_list
+from .errors import InternalInvariantError, SizeLimitError, comma_list
 from .families import FAMILY_ORDER, PRIMAL_FAMILIES, Family, pattern_has_edge
 from .graph import BipartiteCutGraph, Graph, _adjacency_masks, _iter_bits
 
@@ -319,7 +319,8 @@ def ntc_table(g: Graph) -> bytes:
         carry = hu & ~twinned
         for k in range(4):
             digits[k], carry = digits[k] ^ carry, digits[k] & carry
-        assert not carry, "a side's class count fits four binary digits"
+        if carry:
+            raise InternalInvariantError("a side's class count overflows four binary digits")
     # an n < 3 table spreads one byte of masks, the ones past 2^n counting 0
     nbytes = (size + 7) >> 3
     spread = bytearray(nbytes << 3)

@@ -16,7 +16,8 @@ incumbent width needs, and every pattern of two or more pairs that a
 search finds raises the bound of each cut it crosses.  One split loop
 serves both and visits only the splits whose two bounds are below the
 incumbent; twin-class candidates come from a per-lowest-vertex list of
-the masks below the incumbent.
+the masks below the incumbent, built only up to the set being split, and
+the whole stride of that vertex when no mask of it reaches the incumbent.
 For primal unions the dynamic program runs per component, and the
 component law gives the width.  The two solvers agree by construction on
 any symmetric cut function and cross-check each other in the test suite.
@@ -27,7 +28,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress, filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
@@ -40,8 +40,10 @@ from .graph import Graph, _iter_bits, connected_components, induced_subgraph, ma
 ENUM_MAX_N = 9  # (2n - 5)!! shapes: 135,135 at n = 9
 # the dp keeps 2^n-entry tables: a byte per mask for value bounds, exact
 # marks and width bounds, and a 4-byte array of splits; a split search may
-# walk 2^|S| submasks.  A side of an ntc cut has at most min(|X|, 2^(n - |X|))
-# twin classes, 11 at n = 15 and 15 for n <= 19: cutfn.ntc_table counts in 4 bits
+# walk 2^|S| submasks.  The ntc candidate lists of an incumbent partition
+# the masks, so they hold at most 4 (n + 1) 2^n bytes of masks, 2 MB at
+# n = 15.  A side of an ntc cut has at most min(|X|, 2^(n - |X|)) twin
+# classes, 11 at n = 15 and 15 for n <= 19: cutfn.ntc_table counts in 4 bits
 DP_MAX_N = 15
 # greedy: each split's swap search evaluates up to n^2 / 4 cuts per swap;
 # width: each cut search is exponential in the cut
@@ -325,12 +327,14 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     pattern fits a singleton cut, so the singles and the balanced-edge
     floor read what they did.  One loop walks the candidate sides S1
     ascending, taken from the masks below the incumbent whose lowest vertex
-    is S's (twin classes), or from the submasks of S holding its lowest
-    vertex (pattern families).  The root starts from the balanced-edge
-    lower bound.  Every decision compares a cut value with the incumbent,
-    and a bound is only ever raised to a value the cut has, so a split
-    that a raised bound skips is one its own search would have put at or
-    above the incumbent: the splits stay those of the full table."""
+    is S's (twin classes; a list built only up to S, or that vertex's whole
+    stride when none of it reaches the incumbent), or from the submasks of
+    S holding its lowest vertex (pattern families).  The root starts from
+    the balanced-edge lower bound.  Every decision compares a cut value
+    with the incumbent, and a bound is only ever raised to a value the cut
+    has, so a split that a raised bound skips is one its own search would
+    have put at or above the incumbent: the splits stay those of the full
+    table."""
     n = g.n
     full = (1 << n) - 1
     top = n + 1  # above every cut value, so every value and bound fits a byte
@@ -374,20 +378,25 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
     low = bytearray(full + 1)
     singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
 
-    @cache
-    def below(w: int, bit: int) -> array:
-        """The masks m with f(m) < w and lowest bit ``bit``, ascending
-        (twin-class table only)."""
-        is_below = b"\1" * w + bytes(256 - w)  # value v -> v < w
-        return array("I", compress(range(bit, full + 1, 2 * bit),
-                                   vals[bit::2 * bit].translate(is_below)))
+    lists: dict[tuple[int, int], list] = {}  # (w, bit) -> [masks, end, picks]
 
     def below_window(s: int, after: int, inc: int) -> Iterator[int]:
         # a side S1 holding s's lowest vertex has it as its own lowest bit,
-        # so the splits of s that can pass lie in below(inc, s & -s): walk
-        # them from just after ``after`` (islice, not a slice: a copy would
-        # stay alive down the recursion)
-        masks = below(inc, s & -s)
+        # so the splits of s that can pass are the masks with f < inc and
+        # lowest bit s & -s: the whole stride if none is at or above inc,
+        # else an array of those below ``end``, grown up to s from ``picks``
+        # (byte k: is the k-th mask below inc?).  islice, not a slice: a copy
+        # would stay alive down the recursion; deeper searches append past it
+        bit = s & -s
+        entry = lists.get((inc, bit))
+        if entry is None:
+            picks = vals[bit::2 * bit].translate(b"\1" * inc + bytes(256 - inc))
+            entry = lists[inc, bit] = ([range(bit, full + 1, 2 * bit), full + 1, None]
+                                       if 0 not in picks else [array("I"), bit, memoryview(picks)])
+        masks, end, picks = entry
+        if end < s:
+            masks.extend(compress(range(end, s, 2 * bit), picks[end // (2 * bit):]))
+            entry[1] = s
         window = islice(masks, bisect_right(masks, after), bisect_left(masks, s))
         return filterfalse((full ^ s).__and__, window)
 

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +427,29 @@ def test_ntc_table_matches_per_mask_values():
         full = (1 << g.n) - 1
         assert ntc_table(g) == bytes(_ntc_cut_value(adj, m, full ^ m) for m in range(full + 1))
     assert ntc_table(big[-1])[(1 << 11) - 1] == 11
+
+
+def test_ntc_table_overflow_raises_under_optimize():
+    # X = {0..15} has pairwise distinct neighbourhoods among 16..19, so 16
+    # classes: one more than four binary digits hold.  The check must raise
+    # even where ``python -O`` strips asserts (the cut would read 5)
+    code = textwrap.dedent("""
+        from fbranch.cutfn import ntc_table
+        from fbranch.errors import InternalInvariantError
+        from fbranch.graph import Graph
+        g = Graph(21, [(i, 16 + b) for i in range(16) for b in range(4) if i >> b & 1])
+        try:
+            ntc_table(g)
+        except InternalInvariantError as e:
+            print(e)
+        else:
+            raise SystemExit("no error")
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "four binary digits" in done.stdout
 
 
 def test_generic_oracle_trivial_cases():

@@ -557,16 +557,18 @@ def test_dp_matches_bottom_up_oracle_on_larger_graphs(monkeypatch):
             (g, sel.name())
 
 
-def _whole_table_ntc_splits(g, sel, evaluator):
+def _whole_table_ntc_splits(g):
     """Reference twin-class split search: the same top-down branch and
     bound, with the candidate sides S1 of S taken from one ascending list
     of every mask below the incumbent, the window (after, S) of it filtered
-    down to the submasks of S holding S's lowest vertex."""
+    down to the submasks of S holding S's lowest vertex.  Returns the
+    width, the split list and every candidate side tried, in order."""
     n = g.n
     full = (1 << n) - 1
     vals = ntc_table(g)
     split = [0] * (full + 1)
     low = bytearray(full + 1)
+    visited = []
     singles = sorted((1 << v for v in range(n)), key=vals.__getitem__, reverse=True)
 
     @functools.cache
@@ -592,6 +594,7 @@ def _whole_table_ntc_splits(g, sel, evaluator):
         s1 = 0
         while inc > lo:
             for s1 in below_window(s, s1, inc):
+                visited.append(s1)
                 s2 = s ^ s1
                 if vals[s1] < inc and vals[s2] < inc:
                     val = max(vals[s1], vals[s2])
@@ -609,7 +612,7 @@ def _whole_table_ntc_splits(g, sel, evaluator):
         return inc
 
     if n <= 1:
-        return 0, split
+        return 0, split, visited
     for floor in range(n + 2):
         m = vals.find(floor)
         while m >= 0 and not n <= 3 * m.bit_count() <= 2 * n:
@@ -617,22 +620,46 @@ def _whole_table_ntc_splits(g, sel, evaluator):
         if m >= 0:
             break
     low[full] = max(vals[singles[0]], floor)
-    return solve(full, n + 1), split
+    return solve(full, n + 1), split, visited
+
+
+def _recording_filterfalse(log):
+    """``itertools.filterfalse`` that appends each item to ``log`` as it
+    hands it out."""
+    def filterfalse(pred, items):
+        for item in itertools.filterfalse(pred, items):
+            log.append(item)
+            yield item
+    return filterfalse
 
 
 def test_ntc_dp_matches_whole_table_split_search(monkeypatch):
-    # the per-lowest-vertex candidate lists make the decisions of one
-    # whole-table list against the same incumbents; connected graphs at
-    # n 13-15, covering the four densities of the benchmark's ntc slots
+    # the per-lowest-vertex candidate lists, built only as far as the set
+    # being split and whole strides when no mask reaches the incumbent, hand
+    # out the candidate sides of the whole-table list in the same order, so
+    # the width and every split are the same.  Graphs shaped like the
+    # benchmark's six ntc slots; inputs whose lists are all whole strides:
+    # edgeless and complete graphs (every cut is 1) and a disconnected graph
+    # (ntc solves the whole graph); and every labelled graph on at most 5
+    # vertices, where a stride often holds a single mask at the incumbent
     ntc = FamilySelector.parse("ntc")
-    rng = random.Random(26)
-    cases = [g for i in range(12)
-             for g in _connected_graphs(rng, 13 + i % 3, (0.3, 0.4, 0.5, 0.6)[i // 3], 1)]
-    got = [exact_branchwidth_dp(g, ntc) for g in cases]
-    monkeypatch.setattr(decomp, "_dp_splits", _whole_table_ntc_splits)
-    expected = [exact_branchwidth_dp(g, ntc) for g in cases]
-    for g, (w, bd), (w_old, bd_old) in zip(cases, got, expected):
-        assert (w, bd.edges, bd.leaf_map) == (w_old, bd_old.edges, bd_old.leaf_map), g
+    rng = random.Random(31)
+    cases = [g for n, p in ((15, 0.3), (14, 0.3), (15, 0.4), (15, 0.5), (14, 0.5), (15, 0.6))
+             for g in _connected_graphs(rng, n, p, 2)]
+    cases += [Graph(n) for n in range(6, 10)]
+    cases += [Graph(n, itertools.combinations(range(n), 2)) for n in range(6, 10)]
+    cases.append(Graph(13, [(u, v) for u, v in itertools.combinations(range(13), 2)
+                            if (u < 6) == (v < 6) and rng.random() < 0.5]))
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        cases += [Graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+                  for code in range(1 << len(pairs))]
+    visited = []
+    monkeypatch.setattr(decomp, "filterfalse", _recording_filterfalse(visited))
+    for g in cases:
+        visited.clear()
+        width, split = decomp._dp_splits(g, ntc, CutEvaluator(g))
+        assert (width, list(split), visited) == _whole_table_ntc_splits(g), g
 
 
 def _uncertified_dp_splits(g, sel, evaluator):
