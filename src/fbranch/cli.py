@@ -53,15 +53,25 @@ def _json(obj, indent: str = "\n") -> str:
     encoder (its C encoder has no indent).  The CLI's one JSON writer."""
     if obj and isinstance(obj, dict):
         inner = indent + "  "
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _json(v, inner)
-            for k, v in sorted(obj.items())) + indent + "}"
+        deeper = inner + "  "
+        items = []
+        # str values and nonempty all-int lists, the leaves of a kernel
+        # trace's steps, are written here; anything else recurses
+        for k, v in sorted(obj.items()):
+            if type(v) is str:
+                text = encode_basestring_ascii(v)
+            elif v and type(v) in (list, tuple) and all(type(x) is int for x in v):
+                text = "[" + deeper + ("," + deeper).join(map(str, v)) + inner + "]"
+            else:
+                text = _json(v, inner)
+            items.append(encode_basestring_ascii(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if obj and isinstance(obj, (list, tuple)):
         inner = indent + "  "
         if all(type(x) is int for x in obj):
             return "[" + inner + ("," + inner).join(map(str, obj)) + indent + "]"
         return "[" + inner + ("," + inner).join(
-            _json(x, inner) for x in obj) + indent + "]"
+            [_json(x, inner) for x in obj]) + indent + "]"
     if type(obj) is int:
         return str(obj)
     if type(obj) is str:

@@ -21,6 +21,10 @@ the whole stride of that vertex when no mask of it reaches the incumbent.
 For primal unions the dynamic program runs per component, and the
 component law gives the width.  The two solvers agree by construction on
 any symmetric cut function and cross-check each other in the test suite.
+Each exact solver is a core, ``exact_width_dp`` or ``exact_width_enum``,
+that returns the width with what a tree is built from, and a wrapper that
+builds it.  Only ``solve`` and primal-3approx's PRIMAL solve build trees;
+every other exact solve of the verify suites calls a core.
 """
 
 from __future__ import annotations
@@ -210,8 +214,17 @@ def _hierarchy_tree(n: int, clusters: tuple[int, ...]) -> BranchDecomposition:
 def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
                            evaluator: CutEvaluator | None = None
                            ) -> tuple[int, BranchDecomposition]:
-    """Global minimum width over all decomposition shapes; returns the first
-    achiever in enumeration order.
+    """``exact_width_enum`` and the tree of its hierarchy, for ``solve
+    --solver enum``."""
+    width, clusters = exact_width_enum(g, sel, evaluator)
+    return width, _hierarchy_tree(g.n, clusters)
+
+
+def exact_width_enum(g: Graph, sel: FamilySelector,
+                     evaluator: CutEvaluator | None = None
+                     ) -> tuple[int, tuple[int, ...]]:
+    """Global minimum width over all decomposition shapes, and the cluster
+    masks of the first achiever in enumeration order; builds no tree.
 
     Every unrooted leaf-labeled binary tree on the vertices 0..n-1 comes once:
     hung off vertex 0, a tree is a rooted binary hierarchy on 1..n-1, given
@@ -225,10 +238,12 @@ def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
         raise SizeLimitError(f"enumeration solver limited to n <= {ENUM_MAX_N}, got {n}")
     ev = evaluator if evaluator is not None else CutEvaluator(g)
     # a full scan touches nearly every subset, so precompute the whole
-    # value table
-    vals = [0] * (1 << n)
-    for m in range(1 << n):
-        vals[m] = ev.value_of_mask(m, sel)[0]
+    # value table, one evaluation per complement pair: the masks without
+    # vertex n - 1 (just the empty mask when n = 0) and their complements
+    full = (1 << n) - 1
+    vals = [0] * (full + 1)
+    for m in range((full >> 1) + 1):
+        vals[m] = vals[full ^ m] = ev.value_of_mask(m, sel)[0]
     # every shape cuts off each single vertex, so no width is below this;
     # the first shape that reaches it is the first minimum
     floor = max((vals[1 << v] for v in range(n)), default=0)
@@ -264,7 +279,7 @@ def exact_branchwidth_enum(g: Graph, sel: FamilySelector,
         return False
 
     grow((2,) if n >= 2 else (), 2)
-    return best, _hierarchy_tree(n, best_clusters)
+    return best, best_clusters
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +477,46 @@ def _dp_splits(g: Graph, sel: FamilySelector, evaluator: CutEvaluator
 def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
                          evaluator: CutEvaluator | None = None
                          ) -> tuple[int, BranchDecomposition]:
-    """Exact minimum width and a witness decomposition.
+    """``exact_width_dp`` and the tree grown from its splits, for ``solve``
+    and primal-3approx's PRIMAL solve.  Over components, the root splits
+    off the first, the next node the second, and so on."""
+    width, parts = exact_width_dp(g, sel, evaluator)
+    if len(parts) == 1:
+        split = parts[0][1]
+    else:
+        split = {}
+        rest = (1 << g.n) - 1
+        for remap, local in parts:
+            # copy the component's reachable splits into global vertex bits
+            stack = [(1 << len(remap)) - 1]
+            while stack:
+                m = stack.pop()
+                if m & (m - 1):
+                    s1 = local[m]
+                    split[_global_mask(m, remap)] = _global_mask(s1, remap)
+                    stack += (s1, m ^ s1)
+            cmask = mask_of(remap)
+            if rest != cmask:
+                split[rest] = cmask
+                rest ^= cmask
+    return width, _tree_from_splits(g.n, lambda m: (split[m], m ^ split[m]))
+
+
+def exact_width_dp(g: Graph, sel: FamilySelector,
+                   evaluator: CutEvaluator | None = None
+                   ) -> tuple[int, list[tuple[tuple[int, ...], array]]]:
+    """Exact minimum width, and a (vertices, ``_dp_splits`` array) pair per
+    part solved; builds no tree.
 
     Disconnected graphs are routed through their components when the
     selector is a union of the matching, chain and anti-matching families;
     for those families a pattern never straddles two components (the
     degenerate one-pair anti-matching is the only cross-component pattern,
     and the composed decomposition stays optimal in that case too, since
-    then every cut of every decomposition pays for it).  The root splits
-    off the first component, the next node the second, and so on; inside a
-    component the tree follows that component's own dynamic program, and
-    the width follows from the component widths by the component law
-    (``component_law_expected``), so the composed tree is not evaluated.
-    Other selectors run the dynamic program on the whole graph.
+    then every cut of every decomposition pays for it).  Each component is
+    a part, and the width follows from the component widths by the
+    component law (``component_law_expected``).  Other selectors run the
+    dynamic program on the whole graph, the one part.
     """
     comps = connected_components(g)
     if len(comps) > 1 and sel.is_primal_union():
@@ -482,32 +524,19 @@ def exact_branchwidth_dp(g: Graph, sel: FamilySelector,
             if len(comp) > DP_MAX_N:
                 raise SizeLimitError(
                     f"component of size {len(comp)} exceeds solver limit {DP_MAX_N}")
-        split: dict[int, int] = {}
         widths = []
-        rest = (1 << g.n) - 1
+        parts = []
         for comp in comps:
             sub, remap = induced_subgraph(g, comp)
             width, local = _dp_splits(sub, sel, CutEvaluator(sub))
             widths.append(width)
-            # copy the component's reachable splits into global vertex bits
-            stack = [(1 << sub.n) - 1]
-            while stack:
-                m = stack.pop()
-                if m & (m - 1):
-                    s1 = local[m]
-                    split[_global_mask(m, remap)] = _global_mask(s1, remap)
-                    stack += (s1, m ^ s1)
-            cmask = mask_of(comp)
-            if rest != cmask:
-                split[rest] = cmask
-                rest ^= cmask
-        bd = _tree_from_splits(g.n, lambda m: (split[m], m ^ split[m]))
-        return component_law_expected(g, widths, sel), bd
+            parts.append((remap, local))
+        return component_law_expected(g, widths, sel), parts
     if g.n > DP_MAX_N:
         raise SizeLimitError(f"dynamic program limited to n <= {DP_MAX_N}, got {g.n}")
     ev = evaluator if evaluator is not None else CutEvaluator(g)
     width, split_of = _dp_splits(g, sel, ev)
-    return width, _tree_from_splits(g.n, lambda m: (split_of[m], m ^ split_of[m]))
+    return width, [(tuple(range(g.n)), split_of)]
 
 
 def component_law_expected(g: Graph, comp_widths: list[int],

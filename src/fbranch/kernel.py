@@ -196,10 +196,6 @@ def kernelize_fes(g: Graph) -> KernelTrace:
     # label minus the number of dropped vertices below it.
     dropped: list[int] = []
     rep = list(range(cleaned.n))  # vertex -> the vertex it merged into
-
-    def now(v: int) -> int:
-        return v - bisect_left(dropped, v)
-
     mid = MIN_PATH_LENGTH // 2
     for walk in _degree_two_runs(cleaned):
         count = min(len(walk) - MIN_PATH_LENGTH, excess)
@@ -211,11 +207,11 @@ def kernelize_fes(g: Graph) -> KernelTrace:
         # far and walk[mid + 1 + j : MIN_PATH_LENGTH + 1 + j].
         merged = walk[mid]
         for j in range(count):
-            head = walk[:mid] + [merged]
-            tail = walk[mid + 1 + j: MIN_PATH_LENGTH + 1 + j]
-            nxt = tail[0]
-            trace.steps.append(ContractionStep(
-                tuple(now(v) for v in head + tail), (now(merged), now(nxt))))
+            # the contracted edge joins path[mid] (merged) and path[mid + 1]
+            path = tuple([v - bisect_left(dropped, v) for v in
+                          walk[:mid] + [merged] + walk[mid + 1 + j: MIN_PATH_LENGTH + 1 + j]])
+            trace.steps.append(ContractionStep(path, path[mid: mid + 2]))
+            nxt = walk[mid + 1 + j]
             insort(dropped, max(merged, nxt))
             merged = min(merged, nxt)
         for v in walk[mid: mid + 1 + count]:
@@ -223,9 +219,12 @@ def kernelize_fes(g: Graph) -> KernelTrace:
         excess -= count
         if excess == 0:
             break
+    # each cleaned vertex's label in the kernel: that of its representative,
+    # which is never dropped, so labels differ exactly where reps do
+    label = [r - bisect_left(dropped, r) for r in rep]
     final = Graph(cleaned.n - len(dropped),
-                  [(now(rep[u]), now(rep[v])) for u, v in cleaned.edges()
-                   if rep[u] != rep[v]])
+                  [(label[u], label[v]) for u, v in cleaned.edges()
+                   if label[u] != label[v]])
     if bridges(final):
         raise InternalInvariantError("contractions inside cycles created a bridge")
     if excess > 0:  # the runs ran out before the target was reached

@@ -29,7 +29,8 @@ from .decomp import (
     component_law_expected,
     decomposition_width,
     exact_branchwidth_dp,
-    exact_branchwidth_enum,
+    exact_width_dp,
+    exact_width_enum,
     find_balanced_edge,
     is_balanced_edge,
 )
@@ -75,7 +76,7 @@ def _width_cache() -> Callable[[Graph, FamilySelector], int]:
     a fraction of the cost; one evaluator per graph shares the per-family
     cut values between selectors."""
     evaluator = functools.cache(CutEvaluator)
-    return functools.cache(lambda g, sel: exact_branchwidth_dp(g, sel, evaluator=evaluator(g))[0])
+    return functools.cache(lambda g, sel: exact_width_dp(g, sel, evaluator=evaluator(g))[0])
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -124,8 +125,8 @@ def suite_solver_equivalence(seed: int = 0, random_count: int = 200,
     for g in graphs:
         ev = CutEvaluator(g)
         for sel in selectors:
-            w_dp, bd_dp = exact_branchwidth_dp(g, sel, evaluator=ev)
-            w_enum, _ = exact_branchwidth_enum(g, sel, evaluator=ev)
+            w_dp = exact_width_dp(g, sel, evaluator=ev)[0]
+            w_enum = exact_width_enum(g, sel, evaluator=ev)[0]
             res.tested += 1
             if w_dp != w_enum:
                 res.violations.append({
@@ -162,7 +163,7 @@ def suite_tw_bound(max_n: int = 7) -> SuiteResult:
             tw = exact_treewidth(g)
             ev = CutEvaluator(g)
             for sel in PRIMAL_UNIONS:
-                w = exact_branchwidth_dp(g, sel, evaluator=ev)[0]
+                w = exact_width_dp(g, sel, evaluator=ev)[0]
                 res.tested += 1
                 if w > tw + 1:
                     res.violations.append({
@@ -183,7 +184,7 @@ def suite_component(seed: int = 0, count: int = 100, max_n: int = 8) -> SuiteRes
         for sel in PRIMAL_UNIONS:
             # the enumerative solver never routes through components, so it
             # measures the whole graph independently of the law under test
-            whole = exact_branchwidth_enum(g, sel, evaluator=ev)[0]
+            whole = exact_width_enum(g, sel, evaluator=ev)[0]
             parts = [width(induced_subgraph(g, c)[0], sel) for c in comps]
             expected = component_law_expected(g, parts, sel)
             res.tested += 1
@@ -208,8 +209,8 @@ def suite_chain_swap(max_n: int = 6) -> SuiteResult:
         for g in all_graph_classes(n):
             ev = CutEvaluator(g)
             for sel_strict, sel_chain in pairs:
-                w1 = exact_branchwidth_dp(g, sel_strict, evaluator=ev)[0]
-                w2 = exact_branchwidth_dp(g, sel_chain, evaluator=ev)[0]
+                w1 = exact_width_dp(g, sel_strict, evaluator=ev)[0]
+                w2 = exact_width_dp(g, sel_chain, evaluator=ev)[0]
                 res.tested += 1
                 if abs(w1 - w2) > 1:
                     res.violations.append({
@@ -227,7 +228,7 @@ def suite_primal_3approx(max_n: int = 6) -> SuiteResult:
             ev = CutEvaluator(g)
             _, bd = exact_branchwidth_dp(g, PRIMAL, evaluator=ev)
             w_all_on_primal = decomposition_width(bd, g, ALL_FAMILIES, evaluator=ev).width
-            w_all_exact = exact_branchwidth_dp(g, ALL_FAMILIES, evaluator=ev)[0]
+            w_all_exact = exact_width_dp(g, ALL_FAMILIES, evaluator=ev)[0]
             res.tested += 1
             if w_all_on_primal > 3 * w_all_exact:
                 res.violations.append({

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fbranch import atlas
 from fbranch.atlas import all_graph_classes, connected_graph_classes, tree_classes
 from fbranch.canonical import canonical_form
 from fbranch.graph import Graph, connected_components
@@ -306,3 +307,65 @@ def test_graph_classes_against_networkx_atlas():
     connected = [sum(nx.is_connected(h) for h in atlas[n]) for n in range(1, 8)]
     assert connected[-1] == 853
     assert [len(connected_graph_classes(n)) for n in range(1, 8)] == connected
+
+
+def _augment(base, n, mask):
+    """``base`` with a new last vertex n - 1 joined to the vertices of ``mask``."""
+    return Graph(n, list(base.edges()) + [(v, n - 1) for v in range(n - 1) if mask >> v & 1])
+
+
+def _unpruned_extend(n, bases, masks):
+    """The augmentation before it skipped twin swaps: every mask of every
+    base is canonicalised."""
+    seen = {}
+    for base in bases:
+        for mask in masks(n, base):
+            g = _augment(base, n, mask)
+            seen.setdefault(canonical_form(g), g)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+# (public catalogue, its arguments after n as its own recursion passes
+# them, largest n, the masks of the augmentation of a base)
+CATALOGUES = [
+    (connected_graph_classes, (), 7, lambda n, base: range(1, 1 << (n - 1))),
+    (all_graph_classes, (), 6, lambda n, base: range(1 << (n - 1))),
+    (tree_classes, (None,), 12, lambda n, base: [1 << v for v in range(n - 1)]),
+    (tree_classes, (3,), 12, lambda n, base: [1 << v for v in range(n - 1) if base.degree(v) < 3]),
+]
+
+
+def _swap_is_automorphism(g, u, v):
+    swap = {u: v, v: u}
+    edges = set(map(frozenset, g.edges()))
+    return {frozenset(swap.get(x, x) for x in e) for e in edges} == edges
+
+
+def test_twin_skip_keeps_the_unpruned_atlas(monkeypatch):
+    # same tuples, graphs and order as the unpruned augmentation; and the
+    # augmentations canonicalised are exactly those whose mask holds no v
+    # without u, for every swap of two base vertices u < v that is an
+    # automorphism of the base
+    canonicalised = []
+
+    def recording(g, colors=None):
+        canonicalised.append(g)
+        return canonical_form(g, colors)
+
+    monkeypatch.setattr(atlas, "canonical_form", recording)
+    for catalogue, args, top, masks in CATALOGUES:
+        ref = (Graph(1),)
+        for n in range(2, top + 1):
+            expected = []
+            for base in ref:
+                swaps = [(u, v) for u, v in itertools.combinations(range(n - 1), 2)
+                         if _swap_is_automorphism(base, u, v)]
+                expected += [_augment(base, n, mask) for mask in masks(n, base)
+                             if not any(mask >> v & 1 and not mask >> u & 1 for u, v in swaps)]
+            ref = _unpruned_extend(n, ref, masks)
+            catalogue.cache_clear()
+            catalogue(n - 1, *args)
+            canonicalised.clear()
+            assert catalogue(n, *args) == ref, (catalogue.__name__, n, args)
+            assert canonicalised == expected, (catalogue.__name__, n, args)
+        catalogue.cache_clear()

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fbranch.cutfn
 from fbranch.cli import COMMANDS, _json, build_parser, main
@@ -548,6 +548,9 @@ JSON_DOCS = st.recursive(
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(JSON_DOCS)
+@example({"steps": [  # a kernel trace's steps: str and all-int list leaves
+    {"rule": "bridges+isolated", "removed_bridges": [[0, 1]], "removed_vertices": []},
+    {"rule": "contract", "path": [3, 4, 5, 6, 7, 8, 9, 10, 11], "edge": [7, 8]}]})
 def test_json_writer_matches_json_dumps(doc):
     assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 

@@ -19,6 +19,8 @@ from fbranch.decomp import (
     edge_cuts,
     exact_branchwidth_dp,
     exact_branchwidth_enum,
+    exact_width_dp,
+    exact_width_enum,
     find_balanced_edge,
     greedy_branchwidth,
     is_balanced_edge,
@@ -31,7 +33,7 @@ from fbranch.errors import (
     SizeLimitError,
     ValidationError,
 )
-from fbranch.families import Family
+from fbranch.families import FAMILY_ORDER, Family
 from fbranch.graph import (
     Graph,
     _iter_bits,
@@ -46,6 +48,9 @@ from fbranch.verify import PRIMAL_UNIONS, _random_connected, _random_disconnecte
 MATCH = FamilySelector.of(Family.MATCH)
 CHAIN = FamilySelector.of(Family.CHAIN)
 ANTIMATCH = FamilySelector.of(Family.ANTIMATCH)
+# each single family, each primal union, all six families and twin classes
+EVERY_SELECTOR = ([FamilySelector.of(f) for f in FAMILY_ORDER] + list(PRIMAL_UNIONS)
+                  + [ALL_FAMILIES, FamilySelector.parse("ntc")])
 
 
 def cycle(n):
@@ -246,10 +251,12 @@ def test_exact_branchwidth_enum_examples():
 
 
 def test_pruned_enumeration_equals_the_full_walk():
-    # the pruned walk must return the full walk's first minimum, tree and all
+    # the pruned walk over the table filled by complement pairs must return
+    # the full walk's first minimum over the full table, tree and all, on
+    # every graph class including the empty and the one-vertex graph
     selectors = [MATCH, CHAIN, ANTIMATCH, PRIMAL, ALL_FAMILIES, FamilySelector.parse("ntc")]
     rng = random.Random(41)
-    graphs = [g for n in range(1, 7) for g in connected_graph_classes(n)]
+    graphs = [g for n in range(7) for g in all_graph_classes(n)]
     for n in range(7, 10):
         graphs += [_random_connected(rng, n), _random_disconnected(rng, n)]
     for g in graphs:
@@ -259,6 +266,22 @@ def test_pruned_enumeration_equals_the_full_walk():
             w_ref, bd_ref = _unbounded_enum(g, sel, evaluator=ev)
             assert (w, decomposition_to_text(bd)) == (w_ref, decomposition_to_text(bd_ref)), (
                 g, sel.name())
+
+
+def test_width_only_cores_equal_the_tree_building_solvers():
+    # each wrapper builds its tree from its core's result; the core's width
+    # is the wrapper's and the built tree's own width
+    rng = random.Random(43)
+    graphs = [g for n in range(1, 7) for g in connected_graph_classes(n)]
+    graphs += [_random_disconnected(rng, rng.randint(2, 8)) for _ in range(30)]
+    for g in graphs:
+        ev = CutEvaluator(g)
+        for sel in EVERY_SELECTOR:
+            for core, solver in ((exact_width_dp, exact_branchwidth_dp),
+                                 (exact_width_enum, exact_branchwidth_enum)):
+                w, bd = solver(g, sel, evaluator=ev)
+                assert core(g, sel, evaluator=ev)[0] == w, (g, sel.name(), core.__name__)
+                assert decomposition_width(bd, g, sel, evaluator=ev).width == w
 
 
 def test_forests_have_width_one():
