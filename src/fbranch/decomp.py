@@ -21,10 +21,11 @@ the whole stride of that vertex when no mask of it reaches the incumbent.
 For primal unions the dynamic program runs per component, and the
 component law gives the width.  The two solvers agree by construction on
 any symmetric cut function and cross-check each other in the test suite.
+
 Each exact solver is a core, ``exact_width_dp`` or ``exact_width_enum``,
 that returns the width with what a tree is built from, and a wrapper that
-builds it.  Only ``solve`` and primal-3approx's PRIMAL solve build trees;
-every other exact solve of the verify suites calls a core.
+builds it.  Only ``solve`` and primal-3approx's PRIMAL solve call a
+wrapper; every other exact solve of the verify suites calls a core.
 """
 
 from __future__ import annotations
