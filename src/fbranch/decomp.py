@@ -4,6 +4,8 @@ utilities.
 A branch decomposition of a graph is a subcubic tree whose leaves are
 mapped bijectively onto the graph's vertices; removing a tree edge splits
 the leaves, hence the vertices, into the cut evaluated by the cut function.
+A ``BranchDecomposition`` checks that shape once, when it is built, so every
+tree here is valid and only the leaf count is left to match a graph.
 Every solver describes its tree as a split hierarchy -- the vertex set
 split in two, each side split again down to single vertices -- and one
 builder turns that into a tree; one walk of a tree gives every edge's
@@ -37,8 +39,8 @@ from itertools import compress, filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
 from .cutfn import CutEvaluator, FamilySelector, PatternWitness, ntc_table
-from .errors import (DecompositionError, MalformedLineError, SizeLimitError, ValidationError,
-                     read_document, tagged_int_pairs)
+from .errors import (DecompositionError, MalformedLineError, SizeLimitError, read_document,
+                     tagged_int_pairs)
 from .families import Family
 from .graph import Graph, _iter_bits, connected_components, induced_subgraph, mask_of
 
@@ -56,10 +58,12 @@ GREEDY_MAX_N = 40
 
 
 class BranchDecomposition:
-    """Subcubic tree plus a bijection from its leaves to graph vertices.
+    """Subcubic tree plus a bijection from its leaves onto the vertices
+    0..k-1, checked by ``validate_decomposition`` when it is built, so a
+    ``BranchDecomposition`` is always a valid one.
 
     A one-vertex graph is decomposed by a single (leaf) node; a two-vertex
-    graph by a single edge.
+    graph by a single edge; the empty graph by the empty tree.
     """
 
     __slots__ = ("num_nodes", "edges", "leaf_map", "adjacency")
@@ -69,48 +73,42 @@ class BranchDecomposition:
         self.num_nodes = num_nodes
         self.edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
         self.leaf_map = dict(leaf_map)
-        adjacency: dict[int, set[int]] = {v: set() for v in range(num_nodes)}
-        for u, v in self.edges:
-            if u < 0 or v >= num_nodes:  # edges are stored as (min, max)
-                raise ValidationError(
-                    f"tree edge ({u}, {v}) out of range for {num_nodes} nodes")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self.adjacency = adjacency
-
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.num_nodes) if len(self.adjacency[v]) <= 1]
+        self.adjacency = validate_decomposition(self)
 
     def __repr__(self) -> str:
         return f"BranchDecomposition(nodes={self.num_nodes}, leaves={len(self.leaf_map)})"
 
 
-def validate_decomposition(bd: BranchDecomposition, g: Graph) -> None:
-    """Assert every structural invariant against ``g``; raises
-    DecompositionError with a description of the first violation."""
+def validate_decomposition(bd: BranchDecomposition) -> dict[int, set[int]]:
+    """The adjacency of ``bd``'s tree, once every structural invariant is
+    checked; raises DecompositionError at the first violation.  Only the
+    constructor calls it.  The node count is checked against the edges
+    before one set per node is allocated, so a huge count costs nothing."""
     n_nodes = bd.num_nodes
-    if g.n == 0:
-        if n_nodes != 0 or bd.edges or bd.leaf_map:
-            raise DecompositionError("empty graph takes an empty decomposition")
-        return
-    if n_nodes == 0:
-        raise DecompositionError("no nodes")
-    if len(bd.edges) != n_nodes - 1:
+    if n_nodes < 0:
+        raise DecompositionError(f"node count must be nonnegative, got {n_nodes}")
+    need = max(n_nodes - 1, 0)
+    if len(bd.edges) != need:
         raise DecompositionError(
-            f"a tree on {n_nodes} nodes needs {n_nodes - 1} edges, got {len(bd.edges)}")
+            f"a tree on {n_nodes} nodes needs {need} edges, got {len(bd.edges)}")
+    adjacency: dict[int, set[int]] = {v: set() for v in range(n_nodes)}
+    for u, v in bd.edges:
+        if u < 0 or v >= n_nodes:  # edges are stored as (min, max)
+            raise DecompositionError(f"tree edge ({u}, {v}) out of range for {n_nodes} nodes")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
     # connectivity (with the right edge count this also implies acyclicity)
-    if len(_edge_sides(bd.adjacency, 0, {})) != n_nodes - 1:
+    if n_nodes and len(_edge_sides(adjacency, 0, {})) != n_nodes - 1:
         raise DecompositionError("not connected, hence not a tree")
     for v in range(n_nodes):
-        if len(bd.adjacency[v]) > 3:
-            raise DecompositionError(f"node {v} has degree {len(bd.adjacency[v])} > 3")
-    leaves = set(bd.leaves())
-    mapped = set(bd.leaf_map)
-    if mapped != leaves:
+        if len(adjacency[v]) > 3:
+            raise DecompositionError(f"node {v} has degree {len(adjacency[v])} > 3")
+    if set(bd.leaf_map) != {v for v in range(n_nodes) if len(adjacency[v]) <= 1}:
         raise DecompositionError("leaf map must cover exactly the leaves")
-    values = sorted(bd.leaf_map.values())
-    if values != list(range(g.n)):
-        raise DecompositionError("leaf map must be a bijection onto the vertices")
+    k = len(bd.leaf_map)
+    if sorted(bd.leaf_map.values()) != list(range(k)):
+        raise DecompositionError(f"leaf map must be a bijection onto the vertices 0..{k - 1}")
+    return adjacency
 
 
 def _edge_sides(adjacency: dict[int, set[int]], root: int,
@@ -135,8 +133,7 @@ def _edge_sides(adjacency: dict[int, set[int]], root: int,
 
 def edge_cuts(bd: BranchDecomposition) -> dict[tuple[int, int], int]:
     """Every tree edge's cut as a vertex mask: the side of ``bd - e`` that
-    holds the smallest vertex's leaf.  ``bd`` must be valid, so that the
-    leaf bits summed on a side are its mask."""
+    holds the smallest vertex's leaf."""
     if not bd.leaf_map:
         return {}
     root = min(bd.leaf_map, key=bd.leaf_map.__getitem__)
@@ -178,7 +175,9 @@ def decomposition_width(bd: BranchDecomposition, g: Graph, sel: FamilySelector,
         where = " per component" if sel.is_primal_union() else ""
         raise SizeLimitError(
             f"width evaluation limited to {GREEDY_MAX_N} vertices{where}, got {size}")
-    validate_decomposition(bd, g)
+    if len(bd.leaf_map) != g.n:
+        raise DecompositionError(
+            f"decomposition has {len(bd.leaf_map)} leaves, graph has {g.n} vertices")
     ev = evaluator if evaluator is not None else CutEvaluator(g)
     cuts = edge_cuts(bd)
     per_edge: dict[tuple[int, int], tuple[int, PatternWitness]] = {}
@@ -603,36 +602,31 @@ def _balanced_split(ev: CutEvaluator, sel: FamilySelector, mask: int) -> tuple[i
 # tree utilities
 
 
-def find_balanced_edge(adjacency: dict[int, set[int]],
-                       weights: dict[int, float]) -> tuple[int, int]:
+def find_balanced_edge(bd: BranchDecomposition, weights: dict[int, float]) -> tuple[int, int]:
     """The tree edge maximizing the lighter side's weight (ties broken by
-    smallest edge).
+    smallest edge); ``weights`` are keyed by tree node.
 
     Whenever some edge splits the weight 1/3-to-2/3 -- guaranteed for the
     weightings this package uses, namely 0/1 markings of at least two
     leaves -- the returned edge is such a split.  With more skewed
     weightings (most of the mass on one node) no balanced edge need exist,
     and the best available split is returned instead.  Raises ValueError
-    unless ``adjacency`` is a subcubic tree with an edge.
+    unless the weight is positive and the tree has an edge.
     """
-    total = sum(weights.get(v, 0) for v in adjacency)
+    total = sum(weights.get(v, 0) for v in bd.adjacency)
     if total <= 0:
         raise ValueError("total weight must be positive")
-    for v in adjacency:
-        if len(adjacency[v]) > 3:
-            raise ValueError("tree must be subcubic")
-    sides = _edge_sides(adjacency, min(adjacency), weights)
-    if 2 * len(sides) != sum(map(len, adjacency.values())):
-        raise ValueError("not a tree")
+    sides = _edge_sides(bd.adjacency, 0, weights)
     if not sides:
         raise ValueError("tree has no edges")
     return max(sorted(sides), key=lambda e: min(sides[e], total - sides[e]))
 
 
-def is_balanced_edge(adjacency, weights, edge) -> bool:
+def is_balanced_edge(bd: BranchDecomposition, weights: dict[int, float],
+                     edge: tuple[int, int]) -> bool:
     """Whether ``edge`` splits the weight 1/3-to-2/3."""
-    total = sum(weights.get(v, 0) for v in adjacency)
-    side = _edge_sides(adjacency, edge[1], weights)[min(edge), max(edge)]  # edge[0]'s side
+    total = sum(weights.get(v, 0) for v in bd.adjacency)
+    side = _edge_sides(bd.adjacency, edge[1], weights)[min(edge), max(edge)]  # edge[0]'s side
     return total <= 3 * side <= 2 * total
 
 
@@ -655,17 +649,10 @@ def parse_decomposition(text: str) -> BranchDecomposition:
         seen: set[int] = set()
         node = next(a for a, _ in leaves if a in seen or seen.add(a))
         raise MalformedLineError(f"leaf node {node} given twice")
-    # checked before the tree is built: its adjacency has one set per node
-    if num_nodes != len(edges) + 1 and not (num_nodes == 0 and not body):
-        raise MalformedLineError(
-            f"'tree {num_nodes}' needs {num_nodes - 1} 't' lines, got {len(edges)}")
-    for u, v in edges:
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise MalformedLineError(f"tree edge ({u}, {v}) out of range")
-    for node in leaf_map:
-        if not (0 <= node < num_nodes):
-            raise MalformedLineError(f"leaf node {node} out of range")
-    return BranchDecomposition(num_nodes, edges, leaf_map)
+    try:
+        return BranchDecomposition(num_nodes, edges, leaf_map)
+    except DecompositionError as exc:
+        raise MalformedLineError(str(exc)) from None
 
 
 def decomposition_to_json_dict(bd: BranchDecomposition) -> dict:

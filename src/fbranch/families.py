@@ -50,34 +50,28 @@ FAMILY_ORDER = tuple(Family)
 PRIMAL_FAMILIES = frozenset({Family.MATCH, Family.CHAIN, Family.ANTIMATCH})
 
 
+# (diagonal, above, below): whether a family's pattern joins a_i to b_j
+# for i == j, for i < j and for i > j
+_CELLS = {
+    Family.EMPTY: (False, False, False),
+    Family.MATCH: (True, False, False),
+    Family.CHAIN: (True, True, False),
+    Family.CHAINSTRICT: (False, True, False),
+    Family.ANTIMATCH: (False, True, True),
+    Family.COMPLETE: (True, True, True),
+}
+
+
 def pattern_has_edge(family: Family, i: int, j: int) -> bool:
     """Whether the pattern of ``family`` joins a_i to b_j (0-based)."""
-    if family is Family.EMPTY:
-        return False
-    if family is Family.MATCH:
-        return i == j
-    if family is Family.CHAIN:
-        return i <= j
-    if family is Family.CHAINSTRICT:
-        return i < j
-    if family is Family.ANTIMATCH:
-        return i != j
-    return True  # COMPLETE
+    diagonal, above, below = _CELLS[family]
+    return diagonal if i == j else above if i < j else below
 
 
 def _pattern_size(family: Family, q: int) -> int:
     """Edge count of the family's size-q pattern."""
-    if family is Family.EMPTY:
-        return 0
-    if family is Family.MATCH:
-        return q
-    if family is Family.CHAIN:
-        return q * (q + 1) // 2
-    if family is Family.CHAINSTRICT:
-        return q * (q - 1) // 2
-    if family is Family.ANTIMATCH:
-        return q * q - q
-    return q * q  # COMPLETE
+    diagonal, above, below = _CELLS[family]
+    return diagonal * q + (above + below) * (q * (q - 1) // 2)
 
 
 def pattern_edges(family: Family, q: int) -> frozenset[tuple[int, int]]:

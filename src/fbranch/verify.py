@@ -26,6 +26,7 @@ from .cutfn import (
     generic_pattern_value,
 )
 from .decomp import (
+    BranchDecomposition,
     component_law_expected,
     decomposition_width,
     exact_branchwidth_dp,
@@ -328,20 +329,17 @@ def suite_balanced_edge(seed: int = 0, max_nodes: int = 12,
     rng = random.Random(seed)
     for n in range(2, max_nodes + 1):
         for tree in tree_classes(n, max_degree=3):
-            adj = {v: set(tree.adj[v]) for v in range(n)}
+            # a tree on two or more nodes has two or more leaves
             leaves = [v for v in range(n) if tree.degree(v) <= 1]
-            if len(leaves) < 2:
-                continue
+            bd = BranchDecomposition(n, tree.edges(), {v: i for i, v in enumerate(leaves)})
             for _ in range(markings_per_tree):
                 m = rng.randint(2, len(leaves))
                 marked = set(rng.sample(leaves, m))
                 weights = {v: (1 if v in marked else 0) for v in range(n)}
-                edge = find_balanced_edge(adj, weights)
+                edge = find_balanced_edge(bd, weights)
                 res.tested += 1
-                balanced_exists = any(
-                    is_balanced_edge(adj, weights, (u, v))
-                    for u in adj for v in adj[u] if u < v)
-                if not balanced_exists or not is_balanced_edge(adj, weights, edge):
+                balanced_exists = any(is_balanced_edge(bd, weights, e) for e in bd.edges)
+                if not balanced_exists or not is_balanced_edge(bd, weights, edge):
                     res.violations.append({
                         "tree": graph_to_text(tree), "marked": sorted(marked),
                         "edge": list(edge)})

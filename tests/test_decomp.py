@@ -25,13 +25,11 @@ from fbranch.decomp import (
     greedy_branchwidth,
     is_balanced_edge,
     parse_decomposition,
-    validate_decomposition,
 )
 from fbranch.errors import (
     DecompositionError,
     MalformedLineError,
     SizeLimitError,
-    ValidationError,
 )
 from fbranch.families import FAMILY_ORDER, Family
 from fbranch.graph import (
@@ -130,33 +128,61 @@ def _unbounded_enum(g, sel, evaluator=None):
     return best, decomp._hierarchy_tree(n, best_clusters)
 
 
-def test_validate_examples():
-    k2 = Graph(2, [(0, 1)])
-    validate_decomposition(BranchDecomposition(2, [(0, 1)], {0: 0, 1: 1}), k2)
+# fault -> (nodes, edges, leaf map, the error), in the order the
+# constructor checks for them
+FAULTY_TREES = {
+    "negative-count": (-1, [], {}, "node count must be nonnegative, got -1"),
+    "forest": (4, [(0, 1), (2, 3)], {0: 0, 1: 1, 2: 2, 3: 3},
+               "a tree on 4 nodes needs 3 edges, got 2"),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)], {}, "a tree on 3 nodes needs 2 edges, got 3"),
+    "edge-out-of-range-high": (2, [(0, 5)], {0: 0},
+                               r"tree edge \(0, 5\) out of range for 2 nodes"),
+    "edge-out-of-range-low": (2, [(-1, 1)], {1: 0},
+                              r"tree edge \(-1, 1\) out of range for 2 nodes"),
+    # with the right edge count, a cycle, a duplicate edge or a loop edge
+    # leaves some node unreached
+    "cycle": (4, [(0, 1), (1, 2), (0, 2)], {3: 0}, "not connected"),
+    "duplicate-edge": (3, [(0, 1), (1, 0)], {0: 0, 1: 1, 2: 2}, "not connected"),
+    "loop-edge": (3, [(0, 1), (1, 1)], {0: 0, 2: 1}, "not connected"),
+    "degree-4": (5, [(0, 4), (1, 4), (2, 4), (3, 4)], {i: i for i in range(4)},
+                 "node 4 has degree 4 > 3"),
+    "leaf-unmapped": (2, [(0, 1)], {0: 0}, "leaf map must cover exactly the leaves"),
+    "internal-node-mapped": (3, [(0, 1), (1, 2)], {0: 0, 1: 1, 2: 2},
+                             "leaf map must cover exactly the leaves"),
+    "node-out-of-range-mapped": (0, [], {0: 0}, "leaf map must cover exactly the leaves"),
+    "leaf-values-with-a-gap": (2, [(0, 1)], {0: 0, 1: 2},
+                               r"leaf map must be a bijection onto the vertices 0\.\.1"),
+    "leaf-value-twice": (2, [(0, 1)], {0: 1, 1: 1}, "bijection"),
+}
 
-    deg4 = BranchDecomposition(5, [(0, 4), (1, 4), (2, 4), (3, 4)], {i: i for i in range(4)})
-    with pytest.raises(DecompositionError):
-        validate_decomposition(deg4, Graph(4))
 
-    missing = BranchDecomposition(2, [(0, 1)], {0: 0, 1: 0})
-    with pytest.raises(DecompositionError):
-        validate_decomposition(missing, k2)
-
-    cyclic = BranchDecomposition(3, [(0, 1), (1, 2), (0, 2)], {0: 0, 1: 1, 2: 2})
-    with pytest.raises(DecompositionError):
-        validate_decomposition(cyclic, Graph(3))
+@pytest.mark.parametrize("num_nodes, edges, leaf_map, error", FAULTY_TREES.values(),
+                         ids=FAULTY_TREES.keys())
+def test_constructor_rejects_a_faulty_tree(num_nodes, edges, leaf_map, error):
+    with pytest.raises(DecompositionError, match=error):
+        BranchDecomposition(num_nodes, edges, leaf_map)
 
 
-def test_tree_edge_out_of_range_rejected():
-    with pytest.raises(ValidationError):
-        BranchDecomposition(2, [(0, 5)], {})
-    with pytest.raises(ValidationError):
-        BranchDecomposition(2, [(-1, 1)], {})
+def test_constructor_accepts_the_small_trees():
+    assert BranchDecomposition(0, [], {}).adjacency == {}
+    assert BranchDecomposition(1, [], {0: 0}).adjacency == {0: set()}
+    k2 = BranchDecomposition(2, [(1, 0)], {0: 1, 1: 0})
+    assert k2.edges == ((0, 1),) and k2.adjacency == {0: {1}, 1: {0}}
+    # a node of degree two is internal, and a leaf may take any node id
+    path3 = BranchDecomposition(3, [(0, 2), (2, 1)], {1: 0, 0: 1})
+    assert path3.adjacency[2] == {0, 1}
+
+
+def test_decomposition_width_needs_a_leaf_per_vertex():
+    with pytest.raises(DecompositionError, match="2 leaves, graph has 3 vertices"):
+        decomposition_width(caterpillar(2), path(3), MATCH)
+    with pytest.raises(DecompositionError, match="0 leaves, graph has 1 vertices"):
+        decomposition_width(BranchDecomposition(0, [], {}), Graph(1), MATCH)
 
 
 def test_caterpillars_validate():
     for n in range(2, 8):
-        validate_decomposition(caterpillar(n), Graph(n))
+        assert len(caterpillar(n).leaf_map) == n
 
 
 def _reference_edge_cut(bd, e):
@@ -234,7 +260,7 @@ def test_enumerate_unique_and_valid():
     g = Graph(6)
     seen = set()
     for bd in enumerate_decompositions(6):
-        validate_decomposition(bd, g)
+        assert len(bd.leaf_map) == g.n
         key = frozenset(bd.edges)
         assert key not in seen
         seen.add(key)
@@ -245,7 +271,7 @@ def test_enumerate_unique_and_valid():
 def test_exact_branchwidth_enum_examples():
     w, bd = exact_branchwidth_enum(path(4), MATCH)
     assert w == 1
-    validate_decomposition(bd, path(4))
+    assert len(bd.leaf_map) == 4
     assert exact_branchwidth_enum(cycle(6), MATCH)[0] == 2
     assert exact_branchwidth_enum(complete_bipartite(3, 3), MATCH)[0] == 1
 
@@ -302,7 +328,7 @@ def test_dp_equals_enum_all_connected_n_le_5():
                 w_enum, bd_e = exact_branchwidth_enum(g, sel, evaluator=ev)
                 w_dp, bd_d = exact_branchwidth_dp(g, sel, evaluator=ev)
                 assert w_enum == w_dp, (g, sel.name())
-                validate_decomposition(bd_d, g)
+                assert len(bd_d.leaf_map) == g.n
                 assert decomposition_width(bd_d, g, sel, evaluator=ev).width == w_dp
                 assert decomposition_width(bd_e, g, sel, evaluator=ev).width == w_enum
 
@@ -326,7 +352,7 @@ def test_dp_routes_disconnected_through_components():
             w_dp, bd = exact_branchwidth_dp(g, sel)
             w_enum, _ = exact_branchwidth_enum(g, sel)
             assert w_dp == w_enum, (g, sel.name())
-            validate_decomposition(bd, g)
+            assert len(bd.leaf_map) == g.n
             assert decomposition_width(bd, g, sel).width == w_dp
 
 
@@ -354,7 +380,7 @@ def test_greedy_upper_bounds_exact():
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
         for sel in (MATCH, PRIMAL):
             w_greedy, bd = greedy_branchwidth(g, sel)
-            validate_decomposition(bd, g)
+            assert len(bd.leaf_map) == g.n
             assert w_greedy >= exact_branchwidth_dp(g, sel)[0]
     assert greedy_branchwidth(Graph(2, [(0, 1)]), MATCH)[0] == 1
     w_forest, _ = greedy_branchwidth(path(6), MATCH)
@@ -380,31 +406,34 @@ def test_induced_subgraph_monotone():
         assert exact_branchwidth_dp(sub, ALL_FAMILIES)[0] <= whole
 
 
+def _tree_decomposition(tree):
+    """The subcubic tree ``tree`` as a decomposition, its leaves mapped
+    to 0..L-1 in node order, and those leaves."""
+    leaves = [v for v in range(tree.n) if tree.degree(v) <= 1]
+    return BranchDecomposition(tree.n, tree.edges(), {v: i for i, v in enumerate(leaves)}), leaves
+
+
 def test_find_balanced_edge_examples():
-    two = {0: {1}, 1: {0}}
+    two = caterpillar(2)
     assert find_balanced_edge(two, {0: 1, 1: 1}) == (0, 1)
 
     bd = caterpillar(4)
-    adj = bd.adjacency
     w = {v: (1 if v in bd.leaf_map else 0) for v in range(bd.num_nodes)}
-    e = find_balanced_edge(adj, w)
-    assert is_balanced_edge(adj, w, e)
+    e = find_balanced_edge(bd, w)
+    assert is_balanced_edge(bd, w, e)
 
 
 def test_find_balanced_edge_leaf_markings_exhaustive():
     rng = random.Random(11)
     for n in range(2, 9):
         for tree in tree_classes(n, max_degree=3):
-            adj = {v: set(tree.adj[v]) for v in range(n)}
-            leaves = [v for v in range(n) if tree.degree(v) <= 1]
-            if len(leaves) < 2:
-                continue
+            bd, leaves = _tree_decomposition(tree)
             for _ in range(5):
                 m = rng.randint(2, len(leaves))
                 marked = set(rng.sample(leaves, m))
                 w = {v: (1 if v in marked else 0) for v in range(n)}
-                e = find_balanced_edge(adj, w)
-                assert is_balanced_edge(adj, w, e), (tree, marked)
+                e = find_balanced_edge(bd, w)
+                assert is_balanced_edge(bd, w, e), (tree, marked)
 
 
 def _reference_side_weight(adjacency, weights, u, v):
@@ -438,28 +467,19 @@ def test_balanced_edge_helpers_match_the_per_edge_walk():
     rng = random.Random(29)
     for n in range(2, 11):
         for tree in tree_classes(n, max_degree=3):
+            bd, leaves = _tree_decomposition(tree)
             adj = {v: set(tree.adj[v]) for v in range(n)}
-            leaves = [v for v in range(n) if tree.degree(v) <= 1]
             for _ in range(5):
                 marked = set(rng.sample(leaves, rng.randint(2, len(leaves))))
                 w = {v: (1 if v in marked else 0) for v in range(n)}
-                assert find_balanced_edge(adj, w) == _reference_balanced_edge(adj, w), \
+                assert find_balanced_edge(bd, w) == _reference_balanced_edge(adj, w), \
                     (tree, marked)
                 total = len(marked)
                 for u, v in tree.edges():
                     for a, b in ((u, v), (v, u)):
                         side = _reference_side_weight(adj, w, a, b)
-                        assert is_balanced_edge(adj, w, (a, b)) == (
+                        assert is_balanced_edge(bd, w, (a, b)) == (
                             1 / 3 * total <= side <= (1 - 1 / 3) * total)
-
-
-def test_find_balanced_edge_rejects_a_forest():
-    two_edges = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
-    with pytest.raises(ValueError, match="not a tree"):
-        find_balanced_edge(two_edges, {0: 1, 3: 1})
-    triangle = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
-    with pytest.raises(ValueError, match="not a tree"):
-        find_balanced_edge(triangle, {0: 1, 1: 1})
 
 
 def _insertion_shapes(n):
@@ -832,7 +852,7 @@ def test_dp_tree_of_disjoint_union_bridges_whole_components():
                   for sub in itertools.combinations(comps, r)}
         for sel in (MATCH, CHAIN, FamilySelector.of(Family.MATCH, Family.CHAIN)):
             w, bd = exact_branchwidth_dp(g, sel)
-            validate_decomposition(bd, g)
+            assert len(bd.leaf_map) == g.n
             rep = decomposition_width(bd, g, sel)
             assert w == rep.width == 1
             cuts = edge_cuts(bd)
@@ -876,7 +896,7 @@ def test_dp_solves_disconnected_graph_beyond_size_limit():
         comps = connected_components(h)
         for sel in PRIMAL_UNIONS:
             w, bd = exact_branchwidth_dp(h, sel)
-            validate_decomposition(bd, h)
+            assert len(bd.leaf_map) == h.n
             parts = [exact_branchwidth_dp(induced_subgraph(h, c)[0], sel)[0] for c in comps]
             assert w == component_law_expected(h, parts, sel) == decomposition_width(bd, h, sel).width
 
@@ -898,7 +918,7 @@ def test_tree_from_splits_builds_a_deep_tree_without_recursion():
     # splitting off the lowest vertex each time gives a tree 1,200 levels
     # deep, as a disconnected graph's component-by-component splits do
     bd = decomp._tree_from_splits(1200, lambda m: (m & -m, m ^ (m & -m)))
-    validate_decomposition(bd, Graph(1200))
+    assert (bd.num_nodes, len(bd.leaf_map)) == (2398, 1200)
 
 
 def test_text_roundtrip():
@@ -914,11 +934,26 @@ def test_parse_rejects_node_count_off_the_edge_lines():
     # the node count is checked against the 't' lines before any per-node
     # storage is built
     for text in ("tree 5\nt 0 1\nleaf 0 0\nleaf 1 1\n",
-                 "tree 1\nt 0 1\n", "tree 3\n", "tree -1\n", "tree 0\nleaf 0 0\n"):
+                 "tree 1\nt 0 1\n", "tree 3\n", "tree 0\nleaf 0 0\n",
+                 "tree 1000000000\nt 0 1\n"):
         with pytest.raises(MalformedLineError):
             parse_decomposition(text)
+    with pytest.raises(MalformedLineError, match="node count must be nonnegative"):
+        parse_decomposition("tree -1\n")
     assert parse_decomposition("tree 0\n").num_nodes == 0
     assert parse_decomposition("tree 1\nleaf 0 0\n").leaf_map == {0: 0}
+
+
+@pytest.mark.parametrize("fault", ["cycle", "degree-4", "forest"])
+def test_parse_rejects_a_faulty_tree_with_the_constructor_message(fault):
+    num_nodes, edges, leaf_map, _ = FAULTY_TREES[fault]
+    with pytest.raises(DecompositionError) as built:
+        BranchDecomposition(num_nodes, edges, leaf_map)
+    text = "".join([f"tree {num_nodes}\n"] + [f"t {u} {v}\n" for u, v in edges]
+                   + [f"leaf {node} {v}\n" for node, v in leaf_map.items()])
+    with pytest.raises(MalformedLineError) as parsed:
+        parse_decomposition(text)
+    assert str(parsed.value) == str(built.value)
 
 
 def test_dp_equals_enum_remaining_primal_pairs():
