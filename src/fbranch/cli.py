@@ -54,14 +54,16 @@ def _json(obj, indent: str = "\n") -> str:
     if obj and isinstance(obj, dict):
         inner = indent + "  "
         deeper = inner + "  "
+        open_list, comma, close_list = "[" + deeper, "," + deeper, inner + "]"
         items = []
         # str values and nonempty all-int lists, the leaves of a kernel
         # trace's steps, are written here; anything else recurses
-        for k, v in sorted(obj.items()):
+        for k in sorted(obj):
+            v = obj[k]
             if type(v) is str:
                 text = encode_basestring_ascii(v)
             elif v and type(v) in (list, tuple) and all(type(x) is int for x in v):
-                text = "[" + deeper + ("," + deeper).join(map(str, v)) + inner + "]"
+                text = open_list + comma.join(map(str, v)) + close_list
             else:
                 text = _json(v, inner)
             items.append(encode_basestring_ascii(k) + ": " + text)

@@ -622,14 +622,6 @@ def find_balanced_edge(bd: BranchDecomposition, weights: dict[int, float]) -> tu
     return max(sorted(sides), key=lambda e: min(sides[e], total - sides[e]))
 
 
-def is_balanced_edge(bd: BranchDecomposition, weights: dict[int, float],
-                     edge: tuple[int, int]) -> bool:
-    """Whether ``edge`` splits the weight 1/3-to-2/3."""
-    total = sum(weights.get(v, 0) for v in bd.adjacency)
-    side = _edge_sides(bd.adjacency, edge[1], weights)[min(edge), max(edge)]  # edge[0]'s side
-    return total <= 3 * side <= 2 * total
-
-
 # ---------------------------------------------------------------------------
 # text and JSON formats
 

@@ -19,7 +19,12 @@ graph.  A contraction keeps the smaller endpoint and shifts every higher
 label down by one, so the order of the runs, their start vertices and walk
 directions never change, and earlier runs stay too short: shortening each
 run in turn takes exactly the steps that re-finding the first long run
-after every contraction would take.
+after every contraction would take.  The runs are found in linear time,
+each walked once, both ways from its smallest vertex.  Within a run the
+nine labels of the path being contracted are carried from one step to the
+next: a step drops one vertex, so each kept label falls by one if it lies
+above the dropped one, and only the vertex entering the path is looked up
+among the dropped vertices.
 
 Every reduction is recorded in a trace; folding ``apply_step`` over the
 trace from the input reproduces the kernel bit for bit.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .graph import Graph, bridges, connected_components
@@ -59,8 +65,7 @@ class RuleOneStep:
     removed_vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ContractionStep:
+class ContractionStep(NamedTuple):
     path: tuple[int, ...]
     contracted_edge: tuple[int, int]  # the larger endpoint merges into the smaller
 
@@ -85,15 +90,11 @@ class KernelTrace:
             "steps": [
                 {
                     "rule": "bridges+isolated",
-                    "removed_bridges": [list(e) for e in step.removed_bridges],
-                    "removed_vertices": list(step.removed_vertices),
+                    "removed_bridges": step.removed_bridges,
+                    "removed_vertices": step.removed_vertices,
                 }
                 if isinstance(step, RuleOneStep)
-                else {
-                    "rule": "contract",
-                    "path": list(step.path),
-                    "edge": list(step.contracted_edge),
-                }
+                else {"rule": "contract", "path": step.path, "edge": step.contracted_edge}
                 for step in self.steps
             ],
         }
@@ -141,34 +142,40 @@ def reduce_bridges_isolated(g: Graph) -> tuple[Graph, RuleOneStep]:
 
 
 def _degree_two_runs(g: Graph) -> list[list[int]]:
-    """Every maximal degree-two run of g as a walk.
+    """Every maximal degree-two run of g as a walk, each run walked once.
 
     Runs come in order of their smallest vertex; a walk starts at the
-    run's smallest endpoint (for runs that close into a cycle: at the
+    run's smaller endpoint (for runs that close into a cycle: at the
     smallest vertex, toward its smaller neighbor), so the result is
     deterministic.
     """
+    adj = g.adj
+    two = [len(a) == 2 for a in adj]
+    seen = [False] * g.n
     runs: list[list[int]] = []
-    for comp in connected_components(g, (v for v in range(g.n) if g.degree(v) == 2)):
-        endpoints = sorted(u for u in comp
-                           if len(g.adj[u] & comp) <= 1)
-        if endpoints:
-            start = endpoints[0]
-        else:
-            start = min(comp)  # the run closes into a cycle
-        walk = [start]
-        prev = None
-        cur = start
-        while True:
-            nxt = sorted(w for w in g.adj[cur] if w in comp and w != prev)
-            if not nxt:
-                break
-            step = nxt[0]
-            if step == start:
-                break  # closed the cycle
-            walk.append(step)
-            prev, cur = cur, step
-        runs.append(walk)
+
+    def onward(v: int, w: int) -> list[int]:
+        """The degree-two vertices met walking from v through w, up to the
+        first other vertex or back at v."""
+        out = []
+        while two[w] and not seen[w]:
+            seen[w] = True
+            out.append(w)
+            x, y = adj[w]
+            v, w = w, (y if x == v else x)
+        return out
+
+    for v in range(g.n):
+        if not two[v] or seen[v]:
+            continue
+        seen[v] = True  # the run's smallest vertex
+        a, b = sorted(adj[v])
+        ahead = onward(v, a)
+        if ahead and b == ahead[-1]:  # the run closes into a cycle
+            runs.append([v, *ahead])
+            continue
+        walk = [*reversed(onward(v, b)), v, *ahead]
+        runs.append(walk if walk[0] < walk[-1] else walk[::-1])
     return runs
 
 
@@ -206,14 +213,21 @@ def kernelize_fes(g: Graph) -> KernelTrace:
         # path of the j-th contraction is walk[:mid], the vertex merged so
         # far and walk[mid + 1 + j : MIN_PATH_LENGTH + 1 + j].
         merged = walk[mid]
+        labels = [v - bisect_left(dropped, v) for v in walk[:MIN_PATH_LENGTH + 1]]
         for j in range(count):
             # the contracted edge joins path[mid] (merged) and path[mid + 1]
-            path = tuple([v - bisect_left(dropped, v) for v in
-                          walk[:mid] + [merged] + walk[mid + 1 + j: MIN_PATH_LENGTH + 1 + j]])
+            path = tuple(labels)
             trace.steps.append(ContractionStep(path, path[mid: mid + 2]))
             nxt = walk[mid + 1 + j]
             insort(dropped, max(merged, nxt))
             merged = min(merged, nxt)
+            if j + 1 < count:
+                # carry the labels to the next path: the dropped vertex lowers
+                # every label above its own, and one vertex enters at the end
+                keep, drop = sorted(path[mid: mid + 2])
+                v = walk[MIN_PATH_LENGTH + 1 + j]
+                labels = [x - (x > drop) for x in path[:mid]] + [keep] + [
+                    x - (x > drop) for x in path[mid + 2:]] + [v - bisect_left(dropped, v)]
         for v in walk[mid: mid + 1 + count]:
             rep[v] = merged
         excess -= count

@@ -12,6 +12,7 @@ from fbranch.cutfn import ALL_FAMILIES, PRIMAL, CutEvaluator, FamilySelector, nt
 from fbranch.decomp import (
     DP_MAX_N,
     BranchDecomposition,
+    _edge_sides,
     component_law_expected,
     decomposition_to_json_dict,
     decomposition_to_text,
@@ -23,7 +24,6 @@ from fbranch.decomp import (
     exact_width_enum,
     find_balanced_edge,
     greedy_branchwidth,
-    is_balanced_edge,
     parse_decomposition,
 )
 from fbranch.errors import (
@@ -411,6 +411,15 @@ def _tree_decomposition(tree):
     to 0..L-1 in node order, and those leaves."""
     leaves = [v for v in range(tree.n) if tree.degree(v) <= 1]
     return BranchDecomposition(tree.n, tree.edges(), {v: i for i, v in enumerate(leaves)}), leaves
+
+
+def is_balanced_edge(bd, weights, edge):
+    """Whether ``edge`` splits the weight 1/3-to-2/3, read from one walk
+    rooted at ``edge[1]`` (the verify suite reads every edge from one walk
+    per marking)."""
+    total = sum(weights.get(v, 0) for v in bd.adjacency)
+    side = _edge_sides(bd.adjacency, edge[1], weights)[min(edge), max(edge)]  # edge[0]'s side
+    return total <= 3 * side <= 2 * total
 
 
 def test_find_balanced_edge_examples():

@@ -1,11 +1,13 @@
 import importlib.util
 import itertools
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from fbranch.atlas import all_graph_classes
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
 from fbranch.families import Family
@@ -406,13 +408,19 @@ def test_kernel_sweep_matches_stepwise_loop():
         assert replay(trace) == trace.final_graph
 
 
-def _timing_input():
-    """The seeded 2,000-vertex theta graph of tests/kernel_timing.py, from
-    the benchmark's generators (loaded by path: perfbench is no package)."""
+def _bench_workloads():
+    """The benchmark's input generators (loaded by path: perfbench is no
+    package)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _timing_input():
+    """The seeded 2,000-vertex theta graph of tests/kernel_timing.py."""
+    workloads = _bench_workloads()
     rng = random.Random(0)
     return Graph(2000, workloads.relabel(rng, 2000, workloads.theta_graph(rng, 2000, 2)))
 
@@ -466,3 +474,100 @@ def test_kernel_subdivided_k4_sweep_matches_stepwise_loop():
     assert trace.final_graph == expected.final_graph == replay(trace)
     assert trace.final_graph.n > kernel_vertex_bound(3)
     _check_component_bounds(trace.final_graph)
+
+
+def _degree_two_runs_by_component(g):
+    """The component-based reference for ``_degree_two_runs``: each
+    connected component of the degree-two vertices, walked from its
+    smallest endpoint (a cycle: from its smallest vertex), always stepping
+    to the smallest unvisited neighbor inside the component."""
+    runs = []
+    for comp in connected_components(g, (v for v in range(g.n) if g.degree(v) == 2)):
+        endpoints = sorted(u for u in comp if len(g.adj[u] & comp) <= 1)
+        start = endpoints[0] if endpoints else min(comp)
+        walk, prev, cur = [start], None, start
+        while True:
+            nxt = sorted(w for w in g.adj[cur] if w in comp and w != prev)
+            if not nxt or nxt[0] == start:
+                break
+            walk.append(nxt[0])
+            prev, cur = cur, nxt[0]
+        runs.append(walk)
+    return runs
+
+
+def _bench_kernel_inputs(seeds, sizes=(300, 600, 1000), ks=(2, 3, 4, 5)):
+    """Seeded theta and cycle-with-pendant-tree graphs from the benchmark's
+    generators, relabelled at random as the benchmark does."""
+    workloads = _bench_workloads()
+    for seed in seeds:
+        rng = random.Random(seed)
+        for gen in (workloads.theta_graph, workloads.pendant_graph):
+            for n in sizes:
+                k = rng.choice(ks)
+                yield Graph(n, workloads.relabel(rng, n, gen(rng, n, k)))
+
+
+def test_degree_two_runs_match_the_component_walk():
+    """Same runs, in the same order and orientation, as the reference."""
+    rng = random.Random(23)
+    graphs = [g for n in range(8) for g in all_graph_classes(n)]
+    for g in list(graphs):  # and each class under a random labelling
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for _ in range(60):
+        n = rng.randint(3, 40)
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 2.5 / n]))
+    graphs += [cycle(n) for n in range(3, 13)]
+    graphs.append(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))  # runs of one
+    # a run whose two ends meet the same vertex: 0 - 1 - 2 - 3 - 0 with 0 of degree 3
+    graphs.append(Graph(6, [(0, 3), (3, 2), (2, 1), (1, 0), (0, 4), (4, 5), (5, 0)]))
+    graphs += list(_bench_kernel_inputs(range(3)))
+    for g in graphs:
+        assert _degree_two_runs(g) == _degree_two_runs_by_component(g), g
+
+
+def _contraction_steps_by_bisect(g):
+    """The reference for the contraction steps of ``kernelize_fes``: every
+    path relabelled from scratch, one search among the dropped vertices per
+    path vertex, over the reference runs.  Also says whether the target
+    was met partway through a run."""
+    k = len(spanning_forest_complement(g))
+    cleaned, _ = reduce_bridges_isolated(g)
+    excess = cleaned.n - kernel_vertex_bound(k)
+    steps, dropped, partway = [], [], False
+    mid = MIN_PATH_LENGTH // 2
+    for walk in _degree_two_runs_by_component(cleaned):
+        if excess <= 0:
+            break
+        count = min(len(walk) - MIN_PATH_LENGTH, excess)
+        if count <= 0:
+            continue
+        partway = count < len(walk) - MIN_PATH_LENGTH
+        merged = walk[mid]
+        for j in range(count):
+            path = tuple(v - bisect_left(dropped, v) for v in
+                         walk[:mid] + [merged] + walk[mid + 1 + j: MIN_PATH_LENGTH + 1 + j])
+            steps.append(ContractionStep(path, path[mid: mid + 2]))
+            nxt = walk[mid + 1 + j]
+            insort(dropped, max(merged, nxt))
+            merged = min(merged, nxt)
+        excess -= count
+    return steps, partway
+
+
+def test_contraction_steps_match_the_bisect_relabelling():
+    """The carried labels give every step the reference gives, on seeded
+    benchmark-shaped inputs, one of which meets its target partway through
+    a run."""
+    partway = 0
+    for g in [*_bench_kernel_inputs(range(4)), cycle(12)]:
+        expected, stopped_partway = _contraction_steps_by_bisect(g)
+        steps = kernelize_fes(g).steps
+        assert isinstance(steps[0], RuleOneStep) and expected
+        assert steps[1:] == expected
+        assert all(type(s) is ContractionStep for s in steps[1:])
+        partway += stopped_partway
+    assert partway
