@@ -496,15 +496,16 @@ def _degree_two_runs_by_component(g):
     return runs
 
 
-def _bench_kernel_inputs(seeds, sizes=(300, 600, 1000), ks=(2, 3, 4, 5)):
+def _bench_kernel_inputs(seeds):
     """Seeded theta and cycle-with-pendant-tree graphs from the benchmark's
-    generators, relabelled at random as the benchmark does."""
+    generators (300-1,000 vertices, k 2-5), relabelled at random as the
+    benchmark does."""
     workloads = _bench_workloads()
     for seed in seeds:
         rng = random.Random(seed)
         for gen in (workloads.theta_graph, workloads.pendant_graph):
-            for n in sizes:
-                k = rng.choice(ks)
+            for n in (300, 600, 1000):
+                k = rng.randint(2, 5)
                 yield Graph(n, workloads.relabel(rng, n, gen(rng, n, k)))
 
 
