@@ -24,7 +24,7 @@ from .decomp import (
     greedy_branchwidth,
     parse_decomposition,
 )
-from .errors import FBranchError
+from .errors import FBranchError, InternalInvariantError
 from .families import classify_si, parse_ordered_bipartite
 from .graph import graph_to_json_dict, graph_to_text, parse_graph
 from .kernel import kernelize_fes
@@ -112,7 +112,7 @@ def cmd_solve(args) -> int:
     else:
         width, bd = greedy_branchwidth(g, sel)
     if decomposition_width(bd, g, sel).width != width:
-        raise FBranchError("internal: reported width does not re-evaluate")
+        raise InternalInvariantError("internal: reported width does not re-evaluate")
     doc = {
         "schema": SCHEMA, "command": "solve", "solver": args.solver,
         "families": sel.name(), "width": width,
@@ -136,9 +136,9 @@ def cmd_kernelize(args) -> int:
     if args.trace:
         doc = {"schema": SCHEMA, "command": "kernelize", **trace.to_json_dict()}
         Path(args.trace).write_text(_json(doc) + "\n")
-    if trace.forest_shortcircuit:
+    if trace.k == 0:  # a forest: width 1 with an edge, else 0
         sys.stdout.write(
-            f"forest input: width {trace.forest_width}, kernel unchanged "
+            f"forest input: width {min(g.num_edges(), 1)}, kernel unchanged "
             f"(n={final.n})\n")
     else:
         sys.stdout.write(

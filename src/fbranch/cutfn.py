@@ -97,21 +97,20 @@ ALL_FAMILIES = FamilySelector(families=frozenset(FAMILY_ORDER))
 @dataclass(frozen=True)
 class PatternWitness:
     """Partner pairs (x-side vertex, y-side vertex) realizing the pattern
-    across a cut, in pattern order."""
+    across a cut, in pattern order; the pattern's value is the pair count."""
 
     family: Family | None
-    value: int
     pairs: tuple[tuple[int, int], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.value if self.family else None,
-            "value": self.value,
+            "value": len(self.pairs),
             "pairs": [[x, y] for x, y in self.pairs],
         }
 
 
-EMPTY_WITNESS = PatternWitness(None, 0)
+EMPTY_WITNESS = PatternWitness(None)
 
 
 # The three searches return the best partner pairs (x, y) in pattern order,
@@ -261,7 +260,7 @@ def family_value(b: BipartiteCutGraph, family: Family, cap: float = math.inf
         pairs = pairs[::-1]
     if not pairs:
         return 0, EMPTY_WITNESS
-    return len(pairs), PatternWitness(family, len(pairs), pairs)
+    return len(pairs), PatternWitness(family, pairs)
 
 
 def _ntc_cut_value(adj: list[int], mask: int, rest: int) -> int:

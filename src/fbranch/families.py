@@ -101,9 +101,6 @@ class OrderedBipartiteGraph:
                               if i in pos and j in pos)
         return OrderedBipartiteGraph(len(pairs), new_edges)
 
-    def reversed_pairs(self) -> "OrderedBipartiteGraph":
-        return self.induced(list(range(self.q - 1, -1, -1)))
-
 
 def pattern_graph(family: Family, q: int) -> OrderedBipartiteGraph:
     return OrderedBipartiteGraph(q, pattern_edges(family, q))
@@ -171,7 +168,6 @@ def pair_color(h: OrderedBipartiteGraph, i: int, j: int) -> int:
 class HomogeneousSubset:
     pairs: tuple[int, ...]
     family: Family
-    reversed_order: bool
 
 
 def find_homogeneous_subset(h: OrderedBipartiteGraph, n: int) -> HomogeneousSubset | None:
@@ -180,14 +176,14 @@ def find_homogeneous_subset(h: OrderedBipartiteGraph, n: int) -> HomogeneousSubs
 
     Candidate subsets are screened with the pair-color construction first:
     an inducible subset must be uniformly matched/unmatched with colors all
-    1, all 4, or within {2, 3}.  ``reversed_order`` reports whether the
-    pattern appears under the reversed pair order, which happens exactly in
-    the color-3 cases.
+    1, all 4, or within {2, 3}.  The family is the first, in
+    ``FAMILY_ORDER``, that ``classify_si`` finds on the subset: the pairs
+    induce it under some reordering, not necessarily in ascending order.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return HomogeneousSubset((), Family.EMPTY, False)
+        return HomogeneousSubset((), Family.EMPTY)
     if n > h.q:
         return None
     matched = [(i, i) in h.edges for i in range(h.q)]
@@ -198,12 +194,8 @@ def find_homogeneous_subset(h: OrderedBipartiteGraph, n: int) -> HomogeneousSubs
             colors = {pair_color(h, i, j) for i, j in combinations(subset, 2)}
             if not (colors <= {1} or colors <= {4} or colors <= {2, 3}):
                 continue
-        induced = h.induced(subset)
-        tags = classify_si(induced)
+        tags = classify_si(h.induced(subset))
         if tags:
-            family = tags[0]
-            reversed_order = (not matches_pattern_exactly(induced, family)
-                              and matches_pattern_exactly(induced.reversed_pairs(), family))
-            return HomogeneousSubset(subset, family, reversed_order)
+            return HomogeneousSubset(subset, tags[0])
     return None
 

@@ -45,9 +45,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def key(self) -> tuple:
         """Hashable structural identity (used as a cache key)."""
         return (self.n, self._edges)
@@ -96,17 +93,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(len(keep), edges), tuple(keep)
 
 
-def connected_components(g: Graph, vertices: Iterable[int] | None = None
-                         ) -> list[frozenset[int]]:
-    """Maximal connected vertex sets of the subgraph induced on ``vertices``
-    (default: all of g), sorted by smallest member.  One walk: a vertex
-    outside ``vertices`` starts out seen, so it is never entered."""
-    if vertices is None:
-        seen = [False] * g.n
-    else:
-        seen = [True] * g.n
-        for v in vertices:
-            seen[v] = False
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Maximal connected vertex sets of g, sorted by smallest member, from
+    one breadth-first walk."""
+    seen = [False] * g.n
     adj = g.adj
     comps = []
     for start in range(g.n):

@@ -40,6 +40,7 @@ from .errors import InternalInvariantError
 from .graph import Graph, bridges, connected_components
 
 MIN_PATH_LENGTH = 8
+MID = MIN_PATH_LENGTH // 2  # a contraction path's middle edge is path[MID:MID + 2]
 
 
 def kernel_vertex_bound(k: int) -> int:
@@ -66,27 +67,31 @@ class RuleOneStep:
 
 
 class ContractionStep(NamedTuple):
+    """Contract the middle edge ``path[MID:MID + 2]`` of a degree-two path
+    of MIN_PATH_LENGTH edges: its larger endpoint merges into the smaller."""
+
     path: tuple[int, ...]
-    contracted_edge: tuple[int, int]  # the larger endpoint merges into the smaller
 
 
 @dataclass
 class KernelTrace:
+    """The input, its feedback edge set number k, the kernel and the steps
+    from one to the other.  k == 0 is a forest, its own kernel: no steps,
+    width 1 when it has an edge, else 0."""
+
     input_graph: Graph
     k: int
+    final_graph: Graph
     steps: list = field(default_factory=list)
-    final_graph: Graph | None = None
-    forest_shortcircuit: bool = False
-    forest_width: int | None = None
 
     def to_json_dict(self) -> dict:
+        forest = self.k == 0
         return {
             "k": self.k,
-            "forest_shortcircuit": self.forest_shortcircuit,
-            "forest_width": self.forest_width,
+            "forest_shortcircuit": forest,
+            "forest_width": min(self.input_graph.num_edges(), 1) if forest else None,
             "input": {"n": self.input_graph.n, "m": self.input_graph.num_edges()},
-            "final": {"n": self.final_graph.n, "m": self.final_graph.num_edges()}
-            if self.final_graph is not None else None,
+            "final": {"n": self.final_graph.n, "m": self.final_graph.num_edges()},
             "steps": [
                 {
                     "rule": "bridges+isolated",
@@ -94,7 +99,7 @@ class KernelTrace:
                     "removed_vertices": step.removed_vertices,
                 }
                 if isinstance(step, RuleOneStep)
-                else {"rule": "contract", "path": step.path, "edge": step.contracted_edge}
+                else {"rule": "contract", "path": step.path, "edge": step.path[MID: MID + 2]}
                 for step in self.steps
             ],
         }
@@ -117,8 +122,7 @@ def _apply_rule_one(g: Graph, step: RuleOneStep) -> Graph:
 
 
 def _apply_contraction(g: Graph, step: ContractionStep) -> Graph:
-    a, b = step.contracted_edge
-    keep, drop = min(a, b), max(a, b)
+    keep, drop = sorted(step.path[MID: MID + 2])
 
     def new(v: int) -> int:
         if v == drop:
@@ -183,52 +187,46 @@ def kernelize_fes(g: Graph) -> KernelTrace:
     """Run the kernelization: contract until at most 18k - 8 vertices
     remain (k >= 1) or every degree-two run is down to MIN_PATH_LENGTH
     vertices, whichever comes first; in the second case each component
-    meets its own bound (see the module docstring).  Forests short-circuit
-    with their known width."""
+    meets its own bound (see the module docstring).  A forest (k == 0) is
+    returned as its own kernel."""
     k = g.num_edges() - g.n + len(connected_components(g))
-    trace = KernelTrace(input_graph=g, k=k)
     if k == 0:
-        trace.forest_shortcircuit = True
-        trace.forest_width = 1 if g.num_edges() > 0 else 0
-        trace.final_graph = g
-        return trace
+        return KernelTrace(g, k, g)
     cleaned, step = reduce_bridges_isolated(g)
-    trace.steps.append(step)
+    steps = [step]
     excess = cleaned.n - kernel_vertex_bound(k)
     if excess <= 0:
-        trace.final_graph = cleaned
-        return trace
+        return KernelTrace(g, k, cleaned, steps)
     # Labels below are those of the cleaned graph.  A contraction drops the
     # larger endpoint; a vertex's label at any later moment is its cleaned
     # label minus the number of dropped vertices below it.
     dropped: list[int] = []
     rep = list(range(cleaned.n))  # vertex -> the vertex it merged into
-    mid = MIN_PATH_LENGTH // 2
     for walk in _degree_two_runs(cleaned):
         count = min(len(walk) - MIN_PATH_LENGTH, excess)
         if count <= 0:
             continue
         # Contracting the middle edge of the run's first path again and again
-        # merges walk[mid : mid + 1 + count] into its smallest vertex; the
-        # path of the j-th contraction is walk[:mid], the vertex merged so
-        # far and walk[mid + 1 + j : MIN_PATH_LENGTH + 1 + j].
-        merged = walk[mid]
+        # merges walk[MID : MID + 1 + count] into its smallest vertex; the
+        # path of the j-th contraction is walk[:MID], the vertex merged so
+        # far and walk[MID + 1 + j : MIN_PATH_LENGTH + 1 + j].
+        merged = walk[MID]
         labels = [v - bisect_left(dropped, v) for v in walk[:MIN_PATH_LENGTH + 1]]
         for j in range(count):
-            # the contracted edge joins path[mid] (merged) and path[mid + 1]
+            # the contracted edge joins path[MID] (merged) and path[MID + 1]
             path = tuple(labels)
-            trace.steps.append(ContractionStep(path, path[mid: mid + 2]))
-            nxt = walk[mid + 1 + j]
+            steps.append(ContractionStep(path))
+            nxt = walk[MID + 1 + j]
             insort(dropped, max(merged, nxt))
             merged = min(merged, nxt)
             if j + 1 < count:
                 # carry the labels to the next path: the dropped vertex lowers
                 # every label above its own, and one vertex enters at the end
-                keep, drop = sorted(path[mid: mid + 2])
+                keep, drop = sorted(path[MID: MID + 2])
                 v = walk[MIN_PATH_LENGTH + 1 + j]
-                labels = [x - (x > drop) for x in path[:mid]] + [keep] + [
-                    x - (x > drop) for x in path[mid + 2:]] + [v - bisect_left(dropped, v)]
-        for v in walk[mid: mid + 1 + count]:
+                labels = [x - (x > drop) for x in path[:MID]] + [keep] + [
+                    x - (x > drop) for x in path[MID + 2:]] + [v - bisect_left(dropped, v)]
+        for v in walk[MID: MID + 1 + count]:
             rep[v] = merged
         excess -= count
         if excess == 0:
@@ -248,5 +246,4 @@ def kernelize_fes(g: Graph) -> KernelTrace:
                 raise InternalInvariantError(
                     f"a component with feedback number {k_comp} kept {len(comp)} "
                     f"vertices, above {_component_vertex_bound(k_comp)}")
-    trace.final_graph = final
-    return trace
+    return KernelTrace(g, k, final, steps)

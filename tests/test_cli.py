@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fbranch.cli
 import fbranch.cutfn
 from fbranch.cli import COMMANDS, _json, build_parser, main
 from fbranch.decomp import (
@@ -19,6 +20,7 @@ from fbranch.decomp import (
     parse_decomposition,
 )
 from fbranch.cutfn import FamilySelector
+from fbranch.errors import InternalInvariantError
 from fbranch.graph import GRAPH_MAX_N, parse_graph
 
 C6 = "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"
@@ -115,6 +117,96 @@ def test_kernelize_cli(tmp_path, capsys):
     assert kernel.n == 10
     trace = json.loads(trace_file.read_text())
     assert trace["schema"] == "fbranch/1" and trace["k"] == 1
+
+
+def write_graph(path, n, edges):
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return path
+
+
+def json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_width_json_report_bytes(tmp_path, capsys):
+    """The exact reports for C4 on a tree that splits {0, 1} from {2, 3}:
+    under match that cut's witness is a two-pair induced matching; under
+    ntc every cut has value 2 and an empty witness of value 0."""
+    g = write_graph(tmp_path / "c4.txt", 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    tree = tmp_path / "c4.tree"
+    tree.write_text("tree 6\nt 0 4\nt 1 4\nt 2 5\nt 3 5\nt 4 5\n"
+                    "leaf 0 0\nleaf 1 1\nleaf 2 2\nleaf 3 3\n")
+
+    def report(families):
+        code, out, err = run(capsys, "width", "--graph", str(g), "--decomp", str(tree),
+                             "--families", families, "--report", "json")
+        assert (code, err) == (0, "")
+        return out
+
+    def entry(edge, value, family, pairs, witness_value):
+        return {"edge": edge, "value": value, "witness": {
+            "family": family, "pairs": pairs, "value": witness_value}}
+
+    assert report("match") == json_text({
+        "argmax_edge": [4, 5], "command": "width", "families": "match",
+        "schema": "fbranch/1", "width": 2,
+        "edges": [entry([0, 4], 1, "match", [[0, 1]], 1),
+                  entry([1, 4], 1, "match", [[1, 0]], 1),
+                  entry([2, 5], 1, "match", [[2, 1]], 1),
+                  entry([3, 5], 1, "match", [[0, 3]], 1),
+                  entry([4, 5], 2, "match", [[0, 3], [1, 2]], 2)]})
+    assert report("ntc") == json_text({
+        "argmax_edge": [0, 4], "command": "width", "families": "ntc",
+        "schema": "fbranch/1", "width": 2,
+        "edges": [entry(e, 2, None, [], 0) for e in ([0, 4], [1, 4], [2, 5], [3, 5], [4, 5])]})
+
+
+def kernelize_outputs(capsys, tmp_path, n, edges):
+    g = write_graph(tmp_path / "g.txt", n, edges)
+    trace = tmp_path / "trace.json"
+    code, out, err = run(capsys, "kernelize", "--in", str(g), "--trace", str(trace))
+    assert (code, err) == (0, "")
+    return out, trace.read_text()
+
+
+def test_kernelize_forest_trace_bytes(tmp_path, capsys):
+    for n, edges, width in ((3, [(0, 1), (1, 2)], 1), (2, [], 0)):
+        m = len(edges)
+        assert kernelize_outputs(capsys, tmp_path, n, edges) == (
+            f"forest input: width {width}, kernel unchanged (n={n})\n",
+            json_text({"command": "kernelize", "schema": "fbranch/1", "k": 0,
+                       "forest_shortcircuit": True, "forest_width": width,
+                       "input": {"n": n, "m": m}, "final": {"n": n, "m": m},
+                       "steps": []}))
+
+
+def test_kernelize_contraction_trace_bytes(tmp_path, capsys):
+    """A theta graph (hubs 0 and 1 joined by an edge and by runs of 20 and
+    10 vertices) with a pendant vertex at hub 1, relabelled by v -> 7v mod
+    33: the bridge goes, then four contractions inside the long run."""
+    edges = [(0, 1)]
+    for arc in (range(2, 22), range(22, 32)):
+        chain = [0, *arc, 1]
+        edges += zip(chain, chain[1:])
+    edges.append((1, 32))
+    edges = [(7 * u % 33, 7 * v % 33) for u, v in edges]
+
+    def contract(path, edge):
+        return {"rule": "contract", "path": path, "edge": edge}
+
+    assert kernelize_outputs(capsys, tmp_path, 33, edges) == (
+        "k=2: 33 vertices -> 28 (5 reduction steps)\n",
+        json_text({
+            "command": "kernelize", "schema": "fbranch/1", "k": 2,
+            "forest_shortcircuit": False, "forest_width": None,
+            "input": {"n": 33, "m": 34}, "final": {"n": 28, "m": 29},
+            "steps": [
+                {"rule": "bridges+isolated", "removed_bridges": [[7, 26]],
+                 "removed_vertices": [26]},
+                contract([14, 21, 27, 2, 9, 16, 23, 29, 4], [9, 16]),
+                contract([14, 20, 26, 2, 9, 22, 28, 4, 11], [9, 22]),
+                contract([14, 20, 25, 2, 9, 27, 4, 11, 17], [9, 27]),
+                contract([14, 20, 25, 2, 9, 4, 11, 17, 23], [9, 4])]}))
 
 
 def test_prune_cli(tmp_path, capsys):
@@ -292,6 +384,26 @@ def test_solve_greedy_over_limit_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--graph", str(big), "--solver", "greedy")
     assert_one_error_line(code, err)
     assert out == "" and str(GREEDY_MAX_N) in err
+
+
+def test_solve_width_that_does_not_reevaluate_exit_code(c6, capsys, monkeypatch):
+    """A solver whose reported width its own tree does not reach is an
+    internal fault: InternalInvariantError, exit 2, one error line."""
+    real = fbranch.cli.exact_branchwidth_dp
+
+    def one_too_many(g, sel):
+        width, bd = real(g, sel)
+        return width + 1, bd
+
+    monkeypatch.setattr(fbranch.cli, "exact_branchwidth_dp", one_too_many)
+    argv = ["solve", "--graph", str(c6), "--families", "match"]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InternalInvariantError,
+                       match="^internal: reported width does not re-evaluate$"):
+        args.fn(args)
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, err)
+    assert out == "" and err == "error: internal: reported width does not re-evaluate\n"
 
 
 def test_solve_enum_over_limit_exit_code(tmp_path, capsys):

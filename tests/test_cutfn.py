@@ -45,7 +45,7 @@ from fbranch.graph import (
 
 
 def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
-    """Re-check a witness: its value, sides and induced pattern must agree.
+    """Re-check a witness: its sides and induced pattern must agree.
 
     Witnesses produced through the memoizing evaluator may be oriented by
     the opposite side of the cut; every family is closed under swapping the
@@ -53,9 +53,7 @@ def validate_witness(b: BipartiteCutGraph, witness: PatternWitness) -> bool:
     Swapping is swapping the two side masks: the neighbour masks serve both.
     The pattern checked is the ordered bipartite graph the pairs induce.
     """
-    if witness.value != len(witness.pairs):
-        return witness.value == 0 and not witness.pairs
-    if witness.value == 0:
+    if not witness.pairs:
         return True
     xs = tuple(x for x, _ in witness.pairs)
     ys = tuple(y for _, y in witness.pairs)
@@ -213,7 +211,7 @@ def reference_family_value(b, family, cap=math.inf):
         pairs = search(b, cap)
     if not pairs:
         return 0, EMPTY_WITNESS
-    return len(pairs), PatternWitness(family, len(pairs), pairs)
+    return len(pairs), PatternWitness(family, pairs)
 
 
 def cycle(n):
@@ -377,7 +375,7 @@ def test_duality_laws():
         # a chain of the complement, read in reverse, is a strict chain of b
         n, w = family_value(comp, Family.CHAIN)
         assert family_value(b, Family.CHAINSTRICT)[0] == n
-        assert validate_witness(b, PatternWitness(Family.CHAINSTRICT, n, w.pairs[::-1]))
+        assert validate_witness(b, PatternWitness(Family.CHAINSTRICT, w.pairs[::-1]))
 
 
 def test_ntc_examples():
@@ -510,7 +508,7 @@ def test_family_cut_value_witnesses_revalidate():
         for sel in (ALL_FAMILIES, PRIMAL):
             value, witness = CutEvaluator(g).value_of_mask(mask_of(xs), sel)
             assert validate_witness(b, witness)
-            assert witness.value == value
+            assert len(witness.pairs) == value
 
 
 def test_evaluator_witness_validates_in_either_orientation():
@@ -531,7 +529,7 @@ def test_evaluator_witness_validates_in_either_orientation():
             for sel in (PRIMAL, ALL_FAMILIES, *(FamilySelector.of(f) for f in FAMILY_ORDER)):
                 value, witness = ev.value_of_mask(mask_of(xs), sel)
                 assert validate_witness(b, witness), (g, xs, sel.name(), witness)
-                assert witness.value == value
+                assert len(witness.pairs) == value
 
 
 def _capped_graphs():
@@ -577,7 +575,7 @@ def test_capped_family_value_is_exact_below_the_cap():
                     if exact[0] < cap:
                         assert (value, witness) == exact, (g, mask, family, cap)
                     else:
-                        assert value == cap and witness.value == value
+                        assert value == cap and len(witness.pairs) == value
                         assert validate_witness(b, witness)
 
 
@@ -621,7 +619,7 @@ def test_value_below_bounds_then_exact_on_a_larger_cap():
                 if exact[0] < 2 or sel.ntc:  # below the cap: value and witness
                     assert first == exact
                 else:  # at the cap: a pattern at least as large
-                    assert first[0] == first[1].value >= 2
+                    assert first[0] == len(first[1].pairs) >= 2
                     assert validate_witness(cut_graph(g, set_of(mask)), first[1])
                 # a pattern value is at most n / 2 < 6; ntc takes no cap
                 assert ev.value_of_mask(mask, sel, 6) == exact
@@ -636,7 +634,7 @@ def test_value_below_bounds_then_exact_on_a_larger_cap():
                 exact = family_value(b, family)
                 value, witness = ev.family_value_of_mask(mask, family, 2)
                 assert ((value, witness) == exact
-                        or exact[0] >= 2 and value == witness.value == 2
+                        or exact[0] >= 2 and value == len(witness.pairs) == 2
                         and witness.family is family and validate_witness(b, witness))
                 assert ev.family_value_of_mask(mask, family) == exact
 
@@ -655,12 +653,12 @@ def test_a_capped_pattern_lies_across_every_cut_that_separates_its_sides():
                 for sel in _selectors()[:-1]:  # ntc takes no cap
                     value, witness = ev.value_of_mask(mask, sel, cap)
                     if value >= cap:
-                        assert witness.value == len(witness.pairs) == value
+                        assert len(witness.pairs) == value
                         witnesses.add(witness)
                 for family in FAMILY_ORDER:
                     value, witness = ev.family_value_of_mask(mask, family, cap)
                     if value >= cap:
-                        assert witness.value == len(witness.pairs) == value
+                        assert len(witness.pairs) == value
                         witnesses.add(witness)
         assert witnesses
         for witness in witnesses:

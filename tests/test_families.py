@@ -165,7 +165,7 @@ def test_monochromatic_clique_correspondence():
                 tag = COLOR_CASES[(colors.pop(), matched.pop())]
                 tags = classify_si(h)
                 if not tags:
-                    tags = classify_si(h.reversed_pairs())
+                    tags = classify_si(h.induced(range(q - 1, -1, -1)))
                 assert tag in tags
 
 
@@ -178,12 +178,16 @@ def test_find_homogeneous_examples():
     assert res is not None and res.family is Family.CHAIN and len(res.pairs) == 3
 
 
-def test_find_homogeneous_reversal_reported():
-    # color 3 with matched partners: edges a_j b_i for i < j plus the matching
+def test_find_homogeneous_finds_a_chain_in_reversed_order():
+    # color 3 with matched partners: edges a_j b_i for i < j plus the matching,
+    # a chain only when the pairs are read in reversed order
     q = 3
     edges = {(i, i) for i in range(q)} | {(j, i) for i in range(q) for j in range(q) if i < j}
-    res = find_homogeneous_subset(obg(q, edges), 3)
-    assert res is not None and res.family is Family.CHAIN and res.reversed_order
+    h = obg(q, edges)
+    assert not matches_pattern_exactly(h, Family.CHAIN)
+    assert matches_pattern_exactly(h.induced((2, 1, 0)), Family.CHAIN)
+    res = find_homogeneous_subset(h, 3)
+    assert res is not None and res.pairs == (0, 1, 2) and res.family is Family.CHAIN
 
 
 def test_find_homogeneous_exhaustive_none():
@@ -213,14 +217,7 @@ def test_find_homogeneous_against_exhaustive_search():
                          for sub in itertools.combinations(range(q), n))
             assert (res is not None) == exists
             if res is not None:
-                induced = h.induced(res.pairs)
-                assert res.family in classify_si(induced)
-                # reversed: the pattern is not exact in the given order but
-                # is exact in the reversed one
-                pattern = pattern_edges(res.family, n)
-                reverse = h.induced(res.pairs[::-1])
-                assert res.reversed_order == (induced.edges != pattern
-                                              and reverse.edges == pattern)
+                assert res.family == classify_si(h.induced(res.pairs))[0]
 
 
 def test_parse_ordered_bipartite():

@@ -11,8 +11,9 @@ from fbranch.atlas import all_graph_classes
 from fbranch.cutfn import FamilySelector
 from fbranch.decomp import exact_branchwidth_dp
 from fbranch.families import Family
-from fbranch.graph import Graph, bridges, connected_components
+from fbranch.graph import Graph, bridges, connected_components, induced_subgraph
 from fbranch.kernel import (
+    MID,
     MIN_PATH_LENGTH,
     ContractionStep,
     KernelTrace,
@@ -76,7 +77,7 @@ class UnimportantPath:
             if g.degree(v) != 2:
                 raise ValueError(f"vertex {v} has degree {g.degree(v)} != 2")
         for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
+            if b not in g.adj[a]:
                 raise ValueError(f"vertices {a}, {b} not adjacent")
 
 
@@ -93,14 +94,13 @@ def find_unimportant_path(g, min_len):
 
 
 def contract_path_edge(g, p):
-    """Contract the middle edge of the path (any interior edge is safe; the
-    middle keeps both remnant halves long)."""
+    """Contract the middle edge of a path of MIN_PATH_LENGTH edges (any
+    interior edge is safe; the middle keeps both remnant halves long)."""
     length = len(p.vertices) - 1
-    if length < MIN_PATH_LENGTH:
-        raise ValueError(f"path too short: length {length} < {MIN_PATH_LENGTH}")
+    if length != MIN_PATH_LENGTH:
+        raise ValueError(f"path length {length} != {MIN_PATH_LENGTH}")
     p.validate(g)
-    mid = length // 2
-    step = ContractionStep(p.vertices, (p.vertices[mid], p.vertices[mid + 1]))
+    step = ContractionStep(p.vertices)
     return apply_step(g, step), step
 
 
@@ -120,7 +120,7 @@ def replay(trace):
             removed = set(step.removed_vertices)
             live = [v for i, v in enumerate(live) if i not in removed]
         else:
-            a, b = step.contracted_edge
+            a, b = step.path[MID: MID + 2]
             keep, drop = live[min(a, b)], live[max(a, b)]
             for w in adj[drop]:
                 adj[w].discard(drop)
@@ -254,10 +254,15 @@ def test_kernelize_c9_unchanged():
 
 
 def test_kernelize_forest_shortcircuit():
-    trace = kernelize_fes(path(7))
-    assert trace.forest_shortcircuit and trace.forest_width == 1
-    trace = kernelize_fes(Graph(4))
-    assert trace.forest_shortcircuit and trace.forest_width == 0
+    """A forest is its own kernel, with no steps; its trace reports width 1
+    when it has an edge, else 0."""
+    for g, width in ((path(7), 1), (Graph(4), 0)):
+        trace = kernelize_fes(g)
+        assert (trace.k, trace.final_graph, trace.steps) == (0, g, [])
+        doc = trace.to_json_dict()
+        assert doc["forest_shortcircuit"] is True and doc["forest_width"] == width
+    doc = kernelize_fes(cycle(4)).to_json_dict()
+    assert doc["forest_shortcircuit"] is False and doc["forest_width"] is None
 
 
 def test_kernel_trace_replay():
@@ -266,7 +271,7 @@ def test_kernel_trace_replay():
         cyc_len = rng.randint(9, 12)
         g = _cycle_with_pendants(rng, cyc_len)
         trace = kernelize_fes(g)
-        if trace.forest_shortcircuit:
+        if trace.k == 0:
             continue
         assert replay(trace) == trace.final_graph
         assert trace.final_graph.n <= max(kernel_vertex_bound(trace.k), cyc_len)
@@ -349,15 +354,14 @@ def _stepwise_kernel(g):
     target size is met or no run is long enough."""
     k = len(spanning_forest_complement(g))
     cur, step = reduce_bridges_isolated(g)
-    trace = KernelTrace(input_graph=g, k=k, steps=[step])
+    steps = [step]
     while cur.n > kernel_vertex_bound(k):
         p = find_unimportant_path(cur, MIN_PATH_LENGTH)
         if p is None:
             break
         cur, step = contract_path_edge(cur, p)
-        trace.steps.append(step)
-    trace.final_graph = cur
-    return trace
+        steps.append(step)
+    return KernelTrace(g, k, cur, steps)
 
 
 def _subdivided(rng, hubs, core_edges, n):
@@ -482,7 +486,9 @@ def _degree_two_runs_by_component(g):
     smallest endpoint (a cycle: from its smallest vertex), always stepping
     to the smallest unvisited neighbor inside the component."""
     runs = []
-    for comp in connected_components(g, (v for v in range(g.n) if g.degree(v) == 2)):
+    two, old = induced_subgraph(g, (v for v in range(g.n) if g.degree(v) == 2))
+    for comp in connected_components(two):
+        comp = frozenset(old[v] for v in comp)
         endpoints = sorted(u for u in comp if len(g.adj[u] & comp) <= 1)
         start = endpoints[0] if endpoints else min(comp)
         walk, prev, cur = [start], None, start
@@ -539,7 +545,6 @@ def _contraction_steps_by_bisect(g):
     cleaned, _ = reduce_bridges_isolated(g)
     excess = cleaned.n - kernel_vertex_bound(k)
     steps, dropped, partway = [], [], False
-    mid = MIN_PATH_LENGTH // 2
     for walk in _degree_two_runs_by_component(cleaned):
         if excess <= 0:
             break
@@ -547,12 +552,12 @@ def _contraction_steps_by_bisect(g):
         if count <= 0:
             continue
         partway = count < len(walk) - MIN_PATH_LENGTH
-        merged = walk[mid]
+        merged = walk[MID]
         for j in range(count):
             path = tuple(v - bisect_left(dropped, v) for v in
-                         walk[:mid] + [merged] + walk[mid + 1 + j: MIN_PATH_LENGTH + 1 + j])
-            steps.append(ContractionStep(path, path[mid: mid + 2]))
-            nxt = walk[mid + 1 + j]
+                         walk[:MID] + [merged] + walk[MID + 1 + j: MIN_PATH_LENGTH + 1 + j])
+            steps.append(ContractionStep(path))
+            nxt = walk[MID + 1 + j]
             insort(dropped, max(merged, nxt))
             merged = min(merged, nxt)
         excess -= count

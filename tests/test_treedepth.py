@@ -262,7 +262,8 @@ def reference_treedepth_parent(g):
             return 0, {}
         if vertices in memo:
             return memo[vertices]
-        comps = connected_components(g, vertices)
+        sub, old = induced_subgraph(g, vertices)
+        comps = [frozenset(old[v] for v in c) for c in connected_components(sub)]
         if len(comps) > 1:
             height, parent = 0, {}
             for comp in comps:
